@@ -13,8 +13,6 @@ from .process import (
     ProcessConfig,
     add_edge,
     count_degree,
-    degree_counts,
-    draw_squares,
     init_state,
     min_degree,
 )
@@ -27,8 +25,6 @@ __all__ = [
     "ProcessConfig",
     "add_edge",
     "count_degree",
-    "degree_counts",
-    "draw_squares",
     "init_state",
     "min_degree",
     "SquareSource",

@@ -169,6 +169,8 @@ def _run_one_packed(args) -> TrialResult:
 
 def run_trials(spec: TrialSpec, workers: int = 1) -> TrialSummary:
     """Run all trials of a spec; deterministic for fixed spec and seed."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     spec.validate()
     indices = range(spec.trials)
     if workers > 1 and spec.trials > 1:

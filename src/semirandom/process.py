@@ -39,7 +39,6 @@ class ProcessConfig:
     tie_break: str = TIE_AVOID
     square_tie_break: str = TIE_LOWEST
     loop_degree: str = LOOP_COUNTS_TWO
-    record_edges: bool = False
     debug: bool = False
 
     def validate(self) -> "ProcessConfig":
@@ -108,10 +107,6 @@ class DegreeBuckets:
     def count(self, d: int) -> int:
         return len(self._sets[d]) if 0 <= d < len(self._sets) else 0
 
-    def count_at_or_below(self, d: int) -> int:
-        top = min(d, len(self._sets) - 1)
-        return sum(len(self._sets[i]) for i in range(top + 1))
-
     def lowest(self, d: int, exclude: int | None = None) -> int:
         """Lowest-index vertex of degree d, preferring one != exclude.
 
@@ -135,9 +130,6 @@ class DegreeBuckets:
     def sample(self, d: int, rng) -> int:
         return self._sets[d].sample(rng)
 
-    def members(self, d: int) -> list[int]:
-        return self._sets[d].as_list()
-
     def validate(self) -> None:
         """Full O(n) rescan; raises AssertionError on any inconsistency."""
         seen = 0
@@ -157,7 +149,7 @@ class DegreeBuckets:
 class GraphState:
     """Degree state of an evolving multigraph, one edge added per round."""
 
-    __slots__ = ("config", "t", "degree", "buckets", "edges")
+    __slots__ = ("config", "t", "degree", "buckets")
 
     def __init__(self, config: ProcessConfig, degree: list[int] | None = None):
         config.validate()
@@ -166,14 +158,11 @@ class GraphState:
         n = config.n
         self.degree = degree if degree is not None else [0] * (n + 1)
         self.buckets = DegreeBuckets(self.degree, n)
-        self.edges: list[tuple[int, int, int]] | None = [] if config.record_edges else None
 
     def validate(self) -> None:
         assert self.degree[0] == 0
         if self.config.loop_degree == LOOP_COUNTS_TWO:
             assert sum(self.degree) == 2 * self.t, "degree sum must be twice the round count"
-        if self.edges is not None:
-            assert len(self.edges) == self.t
         self.buckets.validate()
 
 
@@ -187,12 +176,6 @@ def state_from_degrees(config: ProcessConfig, degree: list[int], t: int) -> Grap
     state = GraphState(config, degree=degree)
     state.t = t
     return state
-
-
-def draw_squares(state: GraphState, rng) -> list[int]:
-    """k squares, independent and uniform on [1, n]; repetitions allowed."""
-    cfg = state.config
-    return rng.integers(1, cfg.n + 1, size=cfg.k).tolist()
 
 
 def add_edge(state: GraphState, u: int, v: int) -> GraphState:
@@ -212,8 +195,6 @@ def add_edge(state: GraphState, u: int, v: int) -> GraphState:
         d = deg[v]
         deg[v] = d + 1
         b.move(v, d, d + 1)
-    if state.edges is not None:
-        state.edges.append((u, v, state.t))
     if state.config.debug:
         n = state.config.n
         assert 1 <= u <= n and 1 <= v <= n
@@ -226,8 +207,3 @@ def min_degree(state: GraphState) -> int:
 
 def count_degree(state: GraphState, d: int) -> int:
     return state.buckets.count(d)
-
-
-def degree_counts(state: GraphState, upto: int) -> list[int]:
-    """Counts of vertices at each degree 0..upto-1."""
-    return [state.buckets.count(d) for d in range(upto)]

@@ -13,13 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def seed_sequence(seed: int, trial_index: int = 0) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
-
-
 def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Single generator for ad-hoc use (tests, one-off draws)."""
-    return np.random.Generator(np.random.PCG64(seed_sequence(seed, trial_index)))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def trial_streams(seed: int, trial_index: int = 0):

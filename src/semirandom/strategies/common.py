@@ -1,8 +1,11 @@
-"""Shared step-outcome record for all player strategies."""
+"""Shared pieces of all player strategies: step outcome, run driver, streams."""
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from ..process import ProcessConfig
+from ..rng import SquareSource, trial_streams
 
 
 class StepOutcome(NamedTuple):
@@ -18,3 +21,43 @@ class StepOutcome(NamedTuple):
     square: int
     circle: int
     changed: bool
+
+
+def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):
+    """(square source, choice stream) of one trial.
+
+    ``streams`` overrides the (seed, trial_index)-derived generator pair.
+    """
+    rng_sq, rng_ch = streams if streams is not None else trial_streams(config.seed, trial_index)
+    return SquareSource(config.n, config.k, rng_sq), rng_ch
+
+
+def play(step, state, src: SquareSource, rng, done, t=0, observe=None, every=0,
+         check=None, check_every=0) -> int:
+    """Play rounds ``step(state, squares, rng)`` until ``done()``; return the round count.
+
+    Counting starts at ``t``.  ``observe(t)`` runs after every ``every``-th
+    round and ``check()`` after every ``check_every``-th (0 turns either off).
+    """
+    while not done():
+        step(state, src.next_round(), rng)
+        t += 1
+        if every and t % every == 0:
+            observe(t)
+        if check_every and t % check_every == 0:
+            check()
+    return t
+
+
+def classify(rank: dict[int, int], label: list[int], squares: list[int]) -> tuple[int, int]:
+    """(best priority rank, index of the first square achieving it); rank 0 is best."""
+    best = len(rank)  # above every rank in the table
+    best_i = 0
+    for i, s in enumerate(squares):
+        r = rank[label[s]]
+        if r < best:
+            if r == 0:
+                return 0, i
+            best = r
+            best_i = i
+    return best, best_i

@@ -14,11 +14,13 @@ matched, green, permissible, (useless/red = pass).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..indexed import IndexedSet
-from ..process import GraphState, ProcessConfig, add_edge, init_state
-from ..rng import SquareSource, trial_streams
-from .common import StepOutcome
+# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
+from ..process import ProcessConfig, add_edge  # noqa: F401
+from ..rng import SquareSource
+from .common import StepOutcome, classify, play, trial_source
 
 OFF_UNSAT = 0
 OFF_MATCHED = 1
@@ -215,18 +217,7 @@ class HamState:
         assert self.useless_count == 2 * r or not self.permissible
 
 
-def classify_ham(label: list[int], squares: list[int]) -> tuple[int, int]:
-    """(priority rank, index of first square achieving it)."""
-    best = 4
-    best_i = 0
-    for i, s in enumerate(squares):
-        r = _RANK[label[s]]
-        if r < best:
-            if r == 0:
-                return 0, i
-            best = r
-            best_i = i
-    return best, best_i
+classify_ham = partial(classify, _RANK)
 
 
 def _near(h: HamState, v: int, out: set[int]) -> None:
@@ -359,7 +350,7 @@ def _rebalance_padding(h: HamState) -> None:
 
 def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
     """Play one round; mutates ``h`` and reports the chosen edge."""
-    rank, i = classify_ham(h.label, squares)
+    rank, i = classify(_RANK, h.label, squares)
     u = squares[i]
     lab = h.label
     if rank == 0:  # match two unsaturated vertices
@@ -527,7 +518,7 @@ class HamTrace:
     cycle: list[int] | None
 
 
-def ham_completion(h: HamState, graph: GraphState, src: SquareSource, rng) -> tuple[int, list[int]]:
+def ham_completion(h: HamState, src: SquareSource, rng) -> tuple[int, list[int]]:
     """Finish the path, then close the cycle; returns (extra rounds, cycle).
 
     While vertices remain off the path the regular step keeps absorbing
@@ -537,25 +528,15 @@ def ham_completion(h: HamState, graph: GraphState, src: SquareSource, rng) -> tu
     n = h.n
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    start = graph.t
-    while h.X < n:
-        out = ham_step(h, src.next_round(), rng)
-        add_edge(graph, out.square, out.circle)
+    extra = play(ham_step, h, src, rng, lambda: h.X >= n)
+    ends = (h.head, h.tail)
     while True:
-        squares = src.next_round()
-        hit = 0
-        for s in squares:
-            if s == h.head or s == h.tail:
-                hit = s
-                break
-        if hit:
-            other = h.tail if hit == h.head else h.head
-            add_edge(graph, hit, other)
+        extra += 1
+        if any(s in ends for s in src.next_round()):
             break
-        add_edge(graph, squares[0], int(rng.integers(1, n + 1)))
     cycle = h.path_order()
     verify_hamiltonian_cycle(cycle, n)
-    return graph.t - start, cycle
+    return extra, cycle
 
 
 def verify_hamiltonian_cycle(cycle: list[int], n: int) -> None:
@@ -585,27 +566,23 @@ def ham_run(
         raise ValueError("a cycle needs at least 3 vertices")
     if not 0.0 < x_stop <= 1.0:
         raise ValueError("x_stop must lie in (0, 1]")
-    graph = init_state(config)
     h = HamState(n, debug=config.debug)
-    rng_sq, rng_ch = trial_streams(config.seed, trial_index)
-    src = SquareSource(n, config.k, rng_sq)
+    src, rng_ch = trial_source(config, trial_index)
     stride = sample_stride if sample_stride is not None else max(1, n // 100)
     cut = x_stop * n
     samples = [(0, 0, 0, 0)] if stride else []
-    while h.X < cut:
-        out = ham_step(h, src.next_round(), rng_ch)
-        add_edge(graph, out.square, out.circle)
-        if stride and graph.t % stride == 0:
-            samples.append((graph.t, h.X, h.Y, h.R))
-        if validate_every and graph.t % validate_every == 0:
-            h.validate()
-            graph.validate()
-    threshold_round = graph.t
+    threshold_round = play(
+        ham_step, h, src, rng_ch, lambda: h.X >= cut,
+        observe=lambda t: samples.append((t, h.X, h.Y, h.R)),
+        every=stride,
+        check=h.validate,
+        check_every=validate_every,
+    )
     completion = 0
     cycle = None
     if complete:
-        completion, cycle = ham_completion(h, graph, src, rng_ch)
+        completion, cycle = ham_completion(h, src, rng_ch)
     if validate_every:
         h.validate()
-        graph.validate()
-    return HamTrace(n, config.k, x_stop, threshold_round, completion, graph.t, samples, cycle)
+    total = threshold_round + completion
+    return HamTrace(n, config.k, x_stop, threshold_round, completion, total, samples, cycle)

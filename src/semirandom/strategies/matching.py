@@ -10,11 +10,13 @@ red, uncoloured, green (pass).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..indexed import IndexedSet
-from ..process import GraphState, ProcessConfig, add_edge, init_state
-from ..rng import SquareSource, trial_streams
-from .common import StepOutcome
+# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
+from ..process import ProcessConfig, add_edge  # noqa: F401
+from ..rng import SquareSource
+from .common import StepOutcome, classify, play, trial_source
 
 UNSAT = 0
 M_UNCOL = 1
@@ -114,18 +116,7 @@ class PMState:
                 assert lab[g] == M_GREEN and self.green_partner[g] == y
 
 
-def classify_pm(label: list[int], squares: list[int]) -> tuple[int, int]:
-    """(priority rank, index of first square achieving it)."""
-    best = 4
-    best_i = 0
-    for i, s in enumerate(squares):
-        r = _RANK[label[s]]
-        if r < best:
-            if r == 0:
-                return 0, i
-            best = r
-            best_i = i
-    return best, best_i
+classify_pm = partial(classify, _RANK)
 
 
 def _uncolour_all_at(pm: PMState, w: int) -> None:
@@ -156,12 +147,11 @@ def _saturate_pair(pm: PMState, u: int, v: int) -> None:
 def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
     """Play one round; mutates ``pm`` and reports the chosen edge.
 
-    The caller owns the graph bookkeeping for the returned edge.  Self-hits
-    in the match/augment cases consume the round without progress.
+    Self-hits in the match/augment cases consume the round without progress.
     """
     if not pm.unsat:
         raise ValueError("matching already perfect; the run is over")
-    rank, i = classify_pm(pm.label, squares)
+    rank, i = classify(_RANK, pm.label, squares)
     u = squares[i]
     changed = False
     if rank == 0:  # match u with a random unsaturated partner
@@ -255,20 +245,19 @@ class PMTrace:
     samples: list[tuple[int, int, int]]  # (t, saturated, red)
 
 
-def pm_completion(pm: PMState, graph: GraphState, src: SquareSource, rng) -> int:
+def pm_completion(pm: PMState, src: SquareSource, rng, t: int = 0, **hooks) -> int:
     """Keep playing until no unsaturated vertex remains; return extra rounds.
 
     Progress is guaranteed: the unsaturated count is even and each round
-    matches a pair with probability at least 1 - (1 - U/n)^k.
+    matches a pair with probability at least 1 - (1 - U/n)^k.  ``t`` is the
+    round count so far and ``hooks`` are ``play``'s observe/check arguments,
+    so a run's samples and validation continue through completion.
     """
     if pm.n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    start = graph.t
-    while pm.unsat:
-        out = pm_step(pm, src.next_round(), rng)
-        add_edge(graph, out.square, out.circle)
+    extra = play(pm_step, pm, src, rng, lambda: not pm.unsat, t=t, **hooks) - t
     verify_perfect_matching(pm)
-    return graph.t - start
+    return extra
 
 
 def verify_perfect_matching(pm: PMState) -> None:
@@ -301,32 +290,20 @@ def pm_run(
         raise ValueError("perfect matching needs an even vertex count")
     if not 0.0 < eps_stop < 1.0:
         raise ValueError("eps_stop must lie in (0, 1)")
-    graph = init_state(config)
     pm = PMState(n, debug=config.debug)
-    rng_sq, rng_ch = streams if streams is not None else trial_streams(config.seed, trial_index)
-    src = SquareSource(n, config.k, rng_sq)
+    src, rng_ch = trial_source(config, trial_index, streams)
     stride = sample_stride if sample_stride is not None else max(1, n // 100)
     cut = eps_stop * n
     samples = [(0, 0, 0)] if stride else []
-    threshold_round = None
-    while pm.unsat:
-        if threshold_round is None and pm.U <= cut:
-            threshold_round = graph.t
-            if not complete:
-                break
-        out = pm_step(pm, src.next_round(), rng_ch)
-        add_edge(graph, out.square, out.circle)
-        if stride and graph.t % stride == 0:
-            samples.append((graph.t, pm.X, pm.R))
-        if validate_every and graph.t % validate_every == 0:
-            pm.validate()
-            graph.validate()
-    if threshold_round is None:
-        threshold_round = graph.t
-    completion = graph.t - threshold_round
-    if complete:
-        verify_perfect_matching(pm)
+    hooks = dict(
+        observe=lambda t: samples.append((t, pm.X, pm.R)),
+        every=stride,
+        check=pm.validate,
+        check_every=validate_every,
+    )
+    threshold_round = play(pm_step, pm, src, rng_ch, lambda: pm.U <= cut, **hooks)
+    completion = pm_completion(pm, src, rng_ch, threshold_round, **hooks) if complete else 0
     if validate_every:
         pm.validate()
-        graph.validate()
-    return PMTrace(n, config.k, eps_stop, threshold_round, completion, graph.t, samples)
+    total = threshold_round + completion
+    return PMTrace(n, config.k, eps_stop, threshold_round, completion, total, samples)

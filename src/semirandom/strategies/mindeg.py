@@ -26,7 +26,7 @@ from ..process import (
 )
 from ..indexed import IndexedSet
 from ..rng import SquareSource, trial_streams
-from .common import StepOutcome
+from .common import StepOutcome, play, trial_source
 
 
 def select_square_index(degree: list[int], squares: list[int], policy: str, rng) -> int:
@@ -182,27 +182,28 @@ def run_min_degree(
         raise ValueError("target minimum degree must be >= 1")
     step = MIN_DEGREE_STRATEGIES[strategy]
     state = init_state(config)
-    rng_sq, rng_ch = streams if streams is not None else trial_streams(config.seed, trial_index)
-    src = SquareSource(config.n, config.k, rng_sq)
+    src, rng_ch = trial_source(config, trial_index, streams)
     phase_ends = [0] * l
     samples: list[tuple[int, ...]] = []
     buckets = state.buckets
     reached = 0
-    if sample_stride:
-        samples.append((0, *(buckets.count(d) for d in range(l))))
-    while True:
+
+    def done() -> bool:
+        nonlocal reached
         md = buckets.min_nonempty
         if md > reached:
             for qq in range(reached, min(md, l)):
                 phase_ends[qq] = state.t
             reached = md
-        if md >= l:
-            break
-        step(state, src.next_round(), rng_ch)
-        if sample_stride and state.t % sample_stride == 0:
-            samples.append((state.t, *(buckets.count(d) for d in range(l))))
-        if validate_every and state.t % validate_every == 0:
-            state.validate()
+        return md >= l
+
+    def observe(t: int) -> None:
+        samples.append((t, *(buckets.count(d) for d in range(l))))
+
+    if sample_stride:
+        observe(0)
+    play(step, state, src, rng_ch, done, observe=observe, every=sample_stride,
+         check=state.validate, check_every=validate_every)
     if validate_every:
         state.validate()
     return MinDegreeTrace(config.n, config.k, l, state.t, phase_ends, samples)
@@ -245,9 +246,8 @@ def two_phase_mindeg(config: ProcessConfig, l: int, trial_index: int = 0) -> Two
             deg -= np.bincount(loop_vertices, minlength=n + 1)
     state = state_from_degrees(config, deg.tolist(), t=m)
     src = SquareSource(n, config.k, rng_sq)
-    while state.buckets.min_nonempty < l:
-        mindeg_step(state, src.next_round(), rng_ch)
-    return TwoPhaseTrace(state.t, m, state.t - m)
+    total = play(mindeg_step, state, src, rng_ch, lambda: state.buckets.min_nonempty >= l, t=m)
+    return TwoPhaseTrace(total, m, total - m)
 
 
 def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:
@@ -263,8 +263,7 @@ def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:
     if n % 2:
         raise ValueError("perfect matching needs an even vertex count")
     unsat = IndexedSet(range(1, n + 1))
-    rng_sq, rng_ch = trial_streams(config.seed, trial_index)
-    src = SquareSource(n, config.k, rng_sq)
+    src, rng_ch = trial_source(config, trial_index)
     contains = unsat.__contains__
     for _ in range(n // 2):
         squares = src.next_round()
@@ -295,8 +294,7 @@ def greedy_ham_path(config: ProcessConfig, trial_index: int = 0) -> int:
     n = config.n
     off = IndexedSet(range(1, n + 1))
     tail = 0
-    rng_sq, rng_ch = trial_streams(config.seed, trial_index)
-    src = SquareSource(n, config.k, rng_sq)
+    src, rng_ch = trial_source(config, trial_index)
     contains = off.__contains__
     for _ in range(n):
         squares = src.next_round()

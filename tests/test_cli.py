@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import time
 
 import pytest
 
@@ -77,6 +78,18 @@ def test_simulate_validation_failure(capsys):
     )
     assert code == 1
     assert "vertex count" in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_simulate_rejects_nonpositive_threads(capsys, threads):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "simulate", "--property", "mindeg1", "--n", "100000", "--k", "1",
+        "--trials", "4", "--threads", threads,
+    )
+    assert code == 1
+    assert "workers" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_unknown_flag_exits_one(capsys):

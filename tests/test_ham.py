@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from semirandom import ProcessConfig, init_state, trial_rng
+from semirandom import ProcessConfig, trial_rng
 from semirandom.rng import SquareSource, trial_streams
 from semirandom.strategies import (
     GREEN,
@@ -290,9 +290,8 @@ def test_completion_from_full_path_waits_for_endpoint():
     total = 0
     for i in range(trials):
         h = build_path(n, list(range(1, n + 1)))
-        graph = init_state(ProcessConfig(n=n, k=k))
         rng_sq, rng_ch = trial_streams(77, i)
-        extra, cycle = ham_completion(h, graph, SquareSource(n, k, rng_sq), rng_ch)
+        extra, cycle = ham_completion(h, SquareSource(n, k, rng_sq), rng_ch)
         verify_hamiltonian_cycle(cycle, n)
         total += extra
     mean = total / trials

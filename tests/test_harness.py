@@ -102,6 +102,24 @@ def test_run_trials_reports_phases_and_completion_split():
     assert 0 < summary.phase_means[0] < summary.phase_means[1]
 
 
+def test_seeded_rounds_are_pinned():
+    # (threshold_round, completion_rounds) per trial; any change to the
+    # random streams or to the order in which a run consumes them shows here
+    pinned = [
+        (("min_degree", 2, "s0", False), [(2258, 0), (2252, 0)]),
+        (("min_degree", 2, "uniform_circle", False), [(7166, 0), (8478, 0)]),
+        (("perfect_matching", 1, "s0", True), [(2406, 24), (2449, 20)]),
+        (("perfect_matching", 2, "s0", True), [(1812, 23), (1790, 44)]),
+        (("hamilton_cycle", 1, "s0", True), [(3573, 214), (3471, 2337)]),
+        (("hamilton_cycle", 2, "s0", True), [(2659, 361), (2651, 345)]),
+    ]
+    for (prop, k, strategy, debug), expected in pinned:
+        spec = TrialSpec(property=prop, n=2000, k=k, l=2, strategy=strategy, trials=2,
+                         seed=2024, debug=debug)
+        got = [(r.threshold_round, r.completion_rounds) for r in run_trials(spec).results]
+        assert got == expected, (prop, k, strategy)
+
+
 def test_trajectory_check_small_run():
     spec = TrialSpec(
         property="min_degree", n=3000, k=1, l=2, trials=2, seed=5,

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from semirandom import ProcessConfig, trial_rng, init_state
+from semirandom import ProcessConfig, trial_rng
 from semirandom.rng import SquareSource, trial_streams
 from semirandom.strategies import (
     M_GREEN,
@@ -250,10 +250,8 @@ def test_completion_counts_measured_separately():
 
 def test_completion_noop_when_already_perfect(scripted_rng):
     pm = build_pm(2, [(1, 2)])
-    cfg = ProcessConfig(n=2, k=1)
-    graph = init_state(cfg)
     src = SquareSource(2, 1, trial_rng(0))
-    extra = pm_completion(pm, graph, src, trial_rng(1))
+    extra = pm_completion(pm, src, trial_rng(1))
     assert extra == 0
 
 

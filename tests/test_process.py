@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from semirandom import (
     ProcessConfig,
     add_edge,
+    SquareSource,
     count_degree,
-    draw_squares,
     init_state,
     min_degree,
     trial_rng,
@@ -46,17 +46,15 @@ def test_config_rejects_unknown_policies():
 
 
 def test_draw_squares_single_vertex():
-    state = init_state(ProcessConfig(n=1, k=3))
-    assert draw_squares(state, trial_rng(0)) == [1, 1, 1]
+    assert SquareSource(1, 3, trial_rng(0)).next_round() == [1, 1, 1]
 
 
 def test_draw_squares_uniformity_chi_square():
     # chi-square statistic over per-vertex counts, n draws on n vertices
     n = 100_000
-    state = init_state(ProcessConfig(n=n, k=1))
-    rng = trial_rng(123)
+    src = SquareSource(n, 1, trial_rng(123))
     draws = np.fromiter(
-        (draw_squares(state, rng)[0] for _ in range(n)), dtype=np.int64, count=n
+        (src.next_round()[0] for _ in range(n)), dtype=np.int64, count=n
     )
     counts = np.bincount(draws, minlength=n + 1)[1:]
     chi2 = float(((counts - 1.0) ** 2).sum())  # expected count is 1 per vertex
@@ -66,18 +64,15 @@ def test_draw_squares_uniformity_chi_square():
 
 
 def test_two_squares_collide_half_the_time():
-    state = init_state(ProcessConfig(n=2, k=2))
-    rng = trial_rng(7)
+    src = SquareSource(2, 2, trial_rng(7))
     rounds = 10_000
-    equal = sum(1 for _ in range(rounds) if len(set(draw_squares(state, rng))) == 1)
+    equal = sum(1 for _ in range(rounds) if len(set(src.next_round())) == 1)
     assert abs(equal / rounds - 0.5) < 0.02
 
 
 def test_draws_reproducible_across_generators():
-    state = init_state(ProcessConfig(n=50, k=3))
-    a = [draw_squares(state, trial_rng(9, 4)) for _ in range(5)]
-    b = [draw_squares(state, trial_rng(9, 4)) for _ in range(5)]
-    assert a == b
+    a, b = (SquareSource(50, 3, trial_rng(9, 4)) for _ in range(2))
+    assert [a.next_round() for _ in range(5)] == [b.next_round() for _ in range(5)]
     sq1, _ = trial_streams(9, 4)
     sq2, _ = trial_streams(9, 4)
     assert sq1.integers(1, 51, size=15).tolist() == sq2.integers(1, 51, size=15).tolist()
@@ -109,7 +104,7 @@ def test_min_degree_after_one_edge():
 
 
 def test_counts_match_full_rescan():
-    state = init_state(ProcessConfig(n=50, k=1, record_edges=True))
+    state = init_state(ProcessConfig(n=50, k=1))
     rng = trial_rng(11)
     for _ in range(100):
         u = int(rng.integers(1, 51))
@@ -118,10 +113,6 @@ def test_counts_match_full_rescan():
     state.validate()
     for d in range(max(state.degree) + 1):
         assert count_degree(state, d) == sum(1 for v in range(1, 51) if state.degree[v] == d)
-    assert len(state.edges) == 100
-    assert state.buckets.count_at_or_below(2) == sum(
-        1 for v in range(1, 51) if state.degree[v] <= 2
-    )
 
 
 @given(
