@@ -23,6 +23,7 @@ from .integrator import (
 )
 
 PM_EPS_DEFAULT = 1e-14
+PM_EPS_MIN = 1e-15  # smaller eps is below the double resolution of 1 - x
 HAM_X_STOP_DEFAULT = 1.0 - 1e-9
 HAM_S_BUDGET = 3.0
 PM_S_BUDGET = 2.0
@@ -202,8 +203,8 @@ def solve_pm(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+    if not PM_EPS_MIN <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{PM_EPS_MIN}, 1), got {eps}")
     cfg = cfg or IntegratorConfig()
     drift = rhs_pm(k, guard_eps=eps / 2)
     system = OdeSystem(
@@ -317,7 +318,8 @@ def emit_tables(
 
     The matching and path tables carry lower bounds from the degree system
     (targets 1 and 2 respectively); the matching upper bound includes the
-    fixed completion margin.
+    fixed completion margin.  A path solve that stops short of x_stop
+    raises ``OdeFailure`` rather than emit its pinned constant as a bound.
     """
     records: list[TableRecord] = []
     if property_name == "min_degree":
@@ -339,6 +341,10 @@ def emit_tables(
         for k in k_range:
             lower = solve_min_degree(k, 2, cfg)
             upper = solve_ham(k, x_stop, cfg)
+            if upper.status != "event":
+                raise OdeFailure(
+                    f"path system (k={k}) stopped short of x_stop={x_stop}: {upper.status}"
+                )
             records.append(TableRecord("hamilton_cycle", k, None, lower.constant, "lower"))
             records.append(TableRecord("hamilton_cycle", k, None, upper.constant, "upper"))
     else:

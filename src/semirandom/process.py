@@ -1,16 +1,15 @@
 """Evolving multigraph state of the k-choice process.
 
 The state tracks only per-vertex degrees (loops and parallel edges are
-legal) plus a degree-bucket index giving O(1) minimum-degree queries and
-constant-time per-degree counts.  Vertices are 1-based ids ``1..n``.
+legal) plus a degree-bucket index giving O(1) minimum-degree queries,
+constant-time per-degree counts and a cursor to the lowest-index vertex of
+minimum degree (no minimum-degree vertex lies below it).  Vertices are
+1-based ids ``1..n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from heapq import heappush, heappop
-
-from .indexed import IndexedSet
 
 TIE_LOWEST = "lowest_index"
 TIE_AVOID = "avoid_square_then_lowest"
@@ -59,91 +58,107 @@ class ProcessConfig:
 
 
 class DegreeBuckets:
-    """Per-degree vertex sets with a lazy min-heap per bucket.
+    """Per-degree vertex lists on one shared position array.
+
+    ``_lists[d]`` holds the degree-d vertices in packed order and ``pos[v]``
+    is v's slot there; ``move`` fills the leaving slot with the list's tail
+    and appends to the new list, so ``sample`` draws by index in O(1).
 
     Degrees only grow, so ``min_nonempty`` and ``max_nonempty`` advance
-    monotonically and each vertex enters any given bucket at most once,
-    which keeps the lazy heaps linear in the number of edge insertions.
+    monotonically and, while the minimum degree m holds, its class only
+    shrinks.  Cursor invariant: no vertex of degree m lies below ``_lo``.
+    ``lowest(m)`` scans vertex ids upward from ``_lo`` and ``_lo`` restarts
+    at 1 when m advances, which costs O(n) per degree level.
     """
 
-    __slots__ = ("n", "degree", "_sets", "_heaps", "min_nonempty", "max_nonempty")
+    __slots__ = ("n", "degree", "pos", "_lists", "_lo", "min_nonempty", "max_nonempty")
 
     def __init__(self, degree: list[int], n: int):
         self.n = n
         self.degree = degree  # shared with the owning GraphState
         top = max(degree[1:]) if n else 0
-        self._sets = [IndexedSet() for _ in range(top + 1)]
-        self._heaps: list[list[int]] = [[] for _ in range(top + 1)]
+        self._lists: list[list[int]] = [[] for _ in range(top + 1)]
+        self.pos = [0] * (n + 1)
         for v in range(1, n + 1):
-            d = degree[v]
-            self._sets[d].add(v)
-            self._heaps[d].append(v)
-        for h in self._heaps:
-            h.sort()  # sorted lists are valid heaps
+            lst = self._lists[degree[v]]
+            self.pos[v] = len(lst)
+            lst.append(v)
         self.min_nonempty = 0
         self.max_nonempty = top
-        while not self._sets[self.min_nonempty]:
+        while not self._lists[self.min_nonempty]:
             self.min_nonempty += 1
-
-    def _grow(self, d: int) -> None:
-        while len(self._sets) <= d:
-            self._sets.append(IndexedSet())
-            self._heaps.append([])
+        self._lo = 1
 
     def move(self, v: int, old: int, new: int) -> None:
-        self._grow(new)
-        self._sets[old].discard(v)
-        self._sets[new].add(v)
-        heappush(self._heaps[new], v)
+        lists = self._lists
+        pos = self.pos
+        left = lists[old]
+        last = left.pop()
+        if last != v:
+            i = pos[v]
+            left[i] = last
+            pos[last] = i
+        try:
+            lst = lists[new]
+        except IndexError:
+            lists.extend([] for _ in range(new + 1 - len(lists)))
+            lst = lists[new]
+        pos[v] = len(lst)
+        lst.append(v)
         if new > self.max_nonempty:
             self.max_nonempty = new
-        if old == self.min_nonempty:
-            s = self._sets
-            m = self.min_nonempty
-            while not s[m]:
+        if not left and old == self.min_nonempty:
+            m = old + 1
+            while not lists[m]:
                 m += 1
             self.min_nonempty = m
+            self._lo = 1
 
     def count(self, d: int) -> int:
-        return len(self._sets[d]) if 0 <= d < len(self._sets) else 0
+        return len(self._lists[d]) if 0 <= d < len(self._lists) else 0
 
     def lowest(self, d: int, exclude: int | None = None) -> int:
         """Lowest-index vertex of degree d, preferring one != exclude.
 
         Falls back to ``exclude`` itself when it is the only such vertex.
-        Stale heap entries (vertices that have moved on) are popped for good.
+        The minimum class is read through the cursor; any other class (only
+        the maximum-degree baseline asks, and its class is tiny) by a scan.
         """
-        h = self._heaps[d]
+        if d != self.min_nonempty:
+            lst = self._lists[d]
+            if exclude is None or len(lst) == 1:
+                return min(lst)
+            return min(v for v in lst if v != exclude)
         deg = self.degree
-        while deg[h[0]] != d:
-            heappop(h)
-        top = h[0]
-        if exclude is None or top != exclude:
-            return top
-        first = heappop(h)
-        while h and deg[h[0]] != d:
-            heappop(h)
-        second = h[0] if h else None
-        heappush(h, first)
-        return second if second is not None else first
+        lo = self._lo
+        while deg[lo] != d:
+            lo += 1
+        self._lo = lo
+        if lo != exclude or len(self._lists[d]) == 1:
+            return lo
+        lo += 1
+        while deg[lo] != d:
+            lo += 1
+        return lo
 
     def sample(self, d: int, rng) -> int:
-        return self._sets[d].sample(rng)
+        lst = self._lists[d]
+        return lst[rng.integers(len(lst))]
 
     def validate(self) -> None:
         """Full O(n) rescan; raises AssertionError on any inconsistency."""
         seen = 0
-        for d, s in enumerate(self._sets):
-            for v in s:
+        for d, lst in enumerate(self._lists):
+            for i, v in enumerate(lst):
                 assert self.degree[v] == d, f"vertex {v} in bucket {d}, degree {self.degree[v]}"
-            seen += len(s)
+                assert self.pos[v] == i, f"vertex {v} at slot {i}, pos {self.pos[v]}"
+            seen += len(lst)
         assert seen == self.n, f"buckets cover {seen} vertices, expected {self.n}"
-        nonempty = [d for d, s in enumerate(self._sets) if s]
+        nonempty = [d for d, lst in enumerate(self._lists) if lst]
         assert self.min_nonempty == min(nonempty)
         assert self.max_nonempty >= max(nonempty)
-        for d, h in enumerate(self._heaps):
-            live = {v for v in h if self.degree[v] == d}
-            assert live == set(self._sets[d].as_list()), f"heap/bucket mismatch at degree {d}"
+        m = self.min_nonempty
+        assert m not in self.degree[1 : self._lo], "minimum-degree vertex below the cursor"
 
 
 class GraphState:

@@ -1,6 +1,7 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -58,6 +59,30 @@ def test_ode_table_json_file(tmp_path, capsys):
     assert kinds == {"lower", "upper"}
     upper = next(r for r in records if r["kind"] == "upper")
     assert abs(upper["constant"] - 0.80505) < 5e-4
+
+
+def test_ode_table_rejects_sub_resolution_eps(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "ode-table", "--property", "pm", "--eps", "1e-16")
+    assert code == 1
+    assert "eps" in err
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ode_table_refuses_unfinished_path_solve(capsys, monkeypatch):
+    from semirandom.ode import systems
+
+    solve_ham = systems.solve_ham
+
+    def out_of_budget(k, x_stop, cfg=None):
+        # what solve_ham reports when the path fraction misses x_stop by s = 3
+        return dataclasses.replace(solve_ham(k, x_stop, cfg), status="budget", constant=3.0)
+
+    monkeypatch.setattr(systems, "solve_ham", out_of_budget)
+    code, out, err = run_cli(capsys, "ode-table", "--property", "ham", "--k-range", "1..1")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_oracle_prints_expectation(capsys):

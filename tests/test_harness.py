@@ -105,19 +105,30 @@ def test_run_trials_reports_phases_and_completion_split():
 def test_seeded_rounds_are_pinned():
     # (threshold_round, completion_rounds) per trial; any change to the
     # random streams or to the order in which a run consumes them shows here
+    # (the min_degree rows cover every circle, square and loop policy: the
+    # uniform picks read the packed order of the degree buckets)
+    uniform_circle = {"tie_break": "uniform_random"}
+    lowest_circle = {"tie_break": "lowest_index"}
+    uniform_square = {"square_tie_break": "uniform_random"}
+    loops_one = {"loop_degree": "counts_one", **uniform_circle, **uniform_square}
     pinned = [
-        (("min_degree", 2, "s0", False), [(2258, 0), (2252, 0)]),
-        (("min_degree", 2, "uniform_circle", False), [(7166, 0), (8478, 0)]),
-        (("perfect_matching", 1, "s0", True), [(2406, 24), (2449, 20)]),
-        (("perfect_matching", 2, "s0", True), [(1812, 23), (1790, 44)]),
-        (("hamilton_cycle", 1, "s0", True), [(3573, 214), (3471, 2337)]),
-        (("hamilton_cycle", 2, "s0", True), [(2659, 361), (2651, 345)]),
+        (("min_degree", 2, "s0", False, {}), [(2258, 0), (2252, 0)]),
+        (("min_degree", 2, "s0", False, uniform_circle), [(2251, 0), (2260, 0)]),
+        (("min_degree", 2, "s0", True, lowest_circle), [(2259, 0), (2253, 0)]),
+        (("min_degree", 2, "s0", False, uniform_square), [(2253, 0), (2253, 0)]),
+        (("min_degree", 2, "s0", False, loops_one), [(2269, 0), (2243, 0)]),
+        (("min_degree", 2, "uniform_circle", False, {}), [(7166, 0), (8478, 0)]),
+        (("min_degree", 2, "max_degree_circle", True, {}), [(11818, 0), (12251, 0)]),
+        (("perfect_matching", 1, "s0", True, {}), [(2406, 24), (2449, 20)]),
+        (("perfect_matching", 2, "s0", True, {}), [(1812, 23), (1790, 44)]),
+        (("hamilton_cycle", 1, "s0", True, {}), [(3573, 214), (3471, 2337)]),
+        (("hamilton_cycle", 2, "s0", True, {}), [(2659, 361), (2651, 345)]),
     ]
-    for (prop, k, strategy, debug), expected in pinned:
+    for (prop, k, strategy, debug, policies), expected in pinned:
         spec = TrialSpec(property=prop, n=2000, k=k, l=2, strategy=strategy, trials=2,
-                         seed=2024, debug=debug)
+                         seed=2024, debug=debug, **policies)
         got = [(r.threshold_round, r.completion_rounds) for r in run_trials(spec).results]
-        assert got == expected, (prop, k, strategy)
+        assert got == expected, (prop, k, strategy, policies)
 
 
 def test_trajectory_check_small_run():

@@ -14,7 +14,8 @@ from semirandom import (
     trial_rng,
     trial_streams,
 )
-from semirandom.process import LOOP_COUNTS_ONE, state_from_degrees
+from semirandom.indexed import IndexedSet
+from semirandom.process import LOOP_COUNTS_ONE, LOOP_POLICIES, state_from_degrees
 
 
 def test_init_state_empty_graph():
@@ -125,6 +126,48 @@ def test_handshake_and_buckets_after_every_operation(n, edges):
         add_edge(state, a % n + 1, b % n + 1)
         state.validate()  # full rescan agrees after every operation
     assert sum(state.degree) == 2 * state.t
+
+
+def _moves(state, u, v):
+    """(vertex, old degree, new degree) of each bucket move add_edge makes for uv."""
+    if u == v:
+        inc = 1 if state.config.loop_degree == LOOP_COUNTS_ONE else 2
+        return [(u, state.degree[u], state.degree[u] + inc)]
+    return [(u, state.degree[u], state.degree[u] + 1), (v, state.degree[v], state.degree[v] + 1)]
+
+
+@given(
+    degrees=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+    fresh=st.booleans(),
+    loop_degree=st.sampled_from(LOOP_POLICIES),
+    edges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40),
+)
+def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
+    n = len(degrees)
+    cfg = ProcessConfig(n=n, k=1, loop_degree=loop_degree)
+    state = init_state(cfg) if fresh else state_from_degrees(cfg, [0, *degrees], t=0)
+    b = state.buckets
+    # one IndexedSet per degree, fed the same discards and adds as the buckets
+    ref = {}
+    for v in range(1, n + 1):
+        ref.setdefault(state.degree[v], IndexedSet()).add(v)
+    for a, c in edges:
+        u, v = a % n + 1, c % n + 1
+        for w, old, new in _moves(state, u, v):
+            ref[old].discard(w)
+            ref.setdefault(new, IndexedSet()).add(w)
+        add_edge(state, u, v)
+        for d in range(max(state.degree) + 3):
+            members = [w for w in range(1, n + 1) if state.degree[w] == d]
+            assert b.count(d) == len(members)
+            assert b._lists[d] == ref[d].as_list() if d in ref else not members
+            if not members:
+                continue
+            # exclude: none, the lowest member (the lone one if alone), each other member
+            for exclude in (None, *members):
+                others = [w for w in members if w != exclude]
+                assert b.lowest(d, exclude) == (min(others) if others else exclude)
+        b.validate()  # includes the cursor invariant
 
 
 def test_lowest_vertex_queries():
