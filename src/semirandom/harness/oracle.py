@@ -2,16 +2,21 @@
 
 Ground truth for the simulator's step functions, computed with exact
 rational arithmetic.  The minimum-degree oracle walks the full capped
-degree-vector space forward, enumerating every ordered square tuple per
-round and mirroring the simulator's tie-break policies.  The matching
-oracle reduces the state to (unsaturated count, multiset of pending-edge
-counts per unsaturated vertex), which the uniform circle placement makes
-exchangeable, and solves the linear hitting-time system exactly.
+degree-vector space forward.  Each state's successor law is built once,
+by enumerating every ordered square tuple and mirroring the simulator's
+tie-break policies, as integer weights over one per-round denominator
+D = n^k * lcm(1..k) * lcm(1..n); the frontier masses after t rounds are
+integers over D^t, and only the absorbed mass of each round becomes a
+``Fraction``.  The matching oracle reduces the state to (unsaturated
+count, multiset of pending-edge counts per unsaturated vertex), which the
+uniform circle placement makes exchangeable, and solves the linear
+hitting-time system exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,71 +95,75 @@ def _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree):
         raise ValueError(f"unknown circle tie-break {tie_break!r}")
     if square_tie_break not in (TIE_LOWEST, TIE_UNIFORM):
         raise ValueError(f"unknown square tie-break {square_tie_break!r}")
-    tuples = list(itertools.product(range(1, n + 1), repeat=k))
-    p_tuple = Fraction(1, n**k)
-    step_cache: dict[tuple, tuple] = {}
+    tuples = list(itertools.product(range(n), repeat=k))
+    # a uniform square tie-break splits a tuple among at most k offers and a
+    # uniform circle splits among at most n vertices, so every transition
+    # probability is an integer over one denominator
+    square_unit = math.lcm(*range(1, k + 1))
+    circle_unit = math.lcm(*range(1, n + 1))
+    denom = n**k * square_unit * circle_unit
+    loop_inc = 2 if loop_degree == LOOP_COUNTS_TWO else 1
 
-    def circle_choices(degs: tuple[int, ...], u: int) -> list[tuple[Fraction, int]]:
+    def successors(degs: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """Successor law of one state, summed over all n^k square tuples."""
+        square_weight = [0] * n
+        for tup in tuples:
+            smin = min(degs[s] for s in tup)
+            offers = [s for s in tup if degs[s] == smin]
+            if square_tie_break == TIE_LOWEST:
+                square_weight[offers[0]] += square_unit
+            else:
+                share = square_unit // len(offers)
+                for u in offers:
+                    square_weight[u] += share
         dmin = min(degs)
-        bucket = [v for v in range(1, n + 1) if degs[v - 1] == dmin]
-        if tie_break == TIE_LOWEST:
-            return [(Fraction(1), bucket[0])]
-        if tie_break == TIE_AVOID:
-            others = [v for v in bucket if v != u]
-            return [(Fraction(1), others[0] if others else u)]
-        share = Fraction(1, len(bucket))
-        return [(share, v) for v in bucket]
+        bucket = [v for v in range(n) if degs[v] == dmin]
+        law: dict[tuple[int, ...], int] = {}
+        for u, wu in enumerate(square_weight):
+            if not wu:
+                continue
+            if tie_break == TIE_LOWEST:
+                circles = [(circle_unit, bucket[0])]
+            elif tie_break == TIE_AVOID:
+                others = [v for v in bucket if v != u]
+                circles = [(circle_unit, others[0] if others else u)]
+            else:
+                share = circle_unit // len(bucket)
+                circles = [(share, v) for v in bucket]
+            for wv, v in circles:
+                nd = list(degs)
+                if u == v:
+                    nd[u] = min(l, nd[u] + loop_inc)
+                else:
+                    nd[u] = min(l, nd[u] + 1)
+                    nd[v] = min(l, nd[v] + 1)
+                ns = tuple(nd)
+                law[ns] = law.get(ns, 0) + wu * wv
+        return law
 
-    def square_choices(degs: tuple[int, ...], tup) -> list[tuple[Fraction, int]]:
-        dmin = min(degs[s - 1] for s in tup)
-        offers = [s for s in tup if degs[s - 1] == dmin]
-        if square_tie_break == TIE_LOWEST:
-            return [(Fraction(1), offers[0])]
-        share = Fraction(1, len(offers))
-        return [(share, v) for v in offers]
-
-    def apply(degs: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
-        nd = list(degs)
-        if u == v:
-            inc = 2 if loop_degree == LOOP_COUNTS_TWO else 1
-            nd[u - 1] = min(l, nd[u - 1] + inc)
-        else:
-            nd[u - 1] = min(l, nd[u - 1] + 1)
-            nd[v - 1] = min(l, nd[v - 1] + 1)
-        return tuple(nd)
-
-    def outcomes(degs: tuple[int, ...], tup) -> tuple:
-        key = (degs, tup)
-        hit = step_cache.get(key)
-        if hit is None:
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for pu, u in square_choices(degs, tup):
-                for pv, v in circle_choices(degs, u):
-                    ns = apply(degs, u, v)
-                    acc[ns] = acc.get(ns, Fraction(0)) + pu * pv
-            hit = tuple(acc.items())
-            step_cache[key] = hit
-        return hit
-
-    start = tuple([0] * n)
-    frontier: dict[tuple[int, ...], Fraction] = {start: Fraction(1)}
+    # frontier masses after t rounds are integers over denom**t
+    frontier: dict[tuple[int, ...], int] = {(0,) * n: 1}
     distribution: dict[int, Fraction] = {}
+    scale = 1
     t = 0
     max_rounds = n * l + 1  # the circle raises the capped degree sum every round
     while frontier:
         t += 1
         if t > max_rounds:
             raise AssertionError("minimum-degree oracle failed to absorb in time")
-        nxt: dict[tuple[int, ...], Fraction] = {}
-        for degs, p in frontier.items():
-            for tup in tuples:
-                pt = p * p_tuple
-                for ns, q in outcomes(degs, tup):
-                    mass = pt * q
-                    if min(ns) >= l:
-                        distribution[t] = distribution.get(t, Fraction(0)) + mass
-                    else:
-                        nxt[ns] = nxt.get(ns, Fraction(0)) + mass
+        scale *= denom
+        nxt: dict[tuple[int, ...], int] = {}
+        absorbed = 0
+        # the capped degree sum rises every round, so no state recurs and
+        # each successor law is computed once
+        for degs, mass in frontier.items():
+            for ns, w in successors(degs).items():
+                if min(ns) >= l:
+                    absorbed += mass * w
+                else:
+                    nxt[ns] = nxt.get(ns, 0) + mass * w
+        if absorbed:
+            distribution[t] = Fraction(absorbed, scale)
         frontier = nxt
     expectation = sum((Fraction(t) * p for t, p in distribution.items()), Fraction(0))
     return OracleResult("min_degree", n, k, expectation, distribution, Fraction(0))

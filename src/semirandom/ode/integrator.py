@@ -1,11 +1,20 @@
 """Adaptive explicit Runge-Kutta integration with terminal-event location.
 
-The stepper is the classic embedded 4/5 pair (six active stages, first
-same as last).  Events are scalar functions checked at accepted steps;
-a sign change is localized by bisection, with in-step probes computed by
-short fixed Runge-Kutta sub-steps from the step's left endpoint.  All
-state is plain Python floats: the systems here have at most five
-coordinates, where array round-trips would dominate the cost.
+The stepper is the classic embedded 4/5 pair of Dormand and Prince (six
+active stages, first same as last).  Events are scalar functions checked
+at accepted steps; a sign change is localized by bisection, with in-step
+probes computed by short fixed Runge-Kutta sub-steps from the step's left
+endpoint.  All state is plain Python floats: the systems here have at most
+five coordinates, where array round-trips would dominate the cost.
+
+The step is unrolled: the stages are the named lists ``k1``..``k7`` and
+every weighted stage sum is written out as ``0.0 + w1*k1 + w2*k2 + ...``
+over the module-level weights, in stage order and with the zero weights
+kept.  That is exactly what CPython 3.11's float ``sum()`` over a generator
+computes (plain left-to-right addition starting from 0, which also maps a
+leading -0.0 to 0.0), so the step gives the same bits as the loop-over-
+``sum()`` form it replaced.  On CPython 3.12 and later ``sum()`` of floats
+is compensated, so there the written-out form is the stable one.
 """
 
 from __future__ import annotations
@@ -90,6 +99,15 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 # difference between the 5th- and 4th-order weights (stage 7 = FSAL)
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# the same weights as names, read by the unrolled step in ``integrate``
+C2, C3, C4, C5, C6 = _C[1:]
+(A21,) = _A[1]
+A31, A32 = _A[2]
+A41, A42, A43 = _A[3]
+A51, A52, A53, A54 = _A[4]
+A61, A62, A63, A64, A65 = _A[5]
+B1, B2, B3, B4, B5, B6 = _B5
+E1, E2, E3, E4, E5, E6, E7 = _E
 
 
 def _rk4_span(f, s0: float, y0: list[float], s1: float, substeps: int = 2) -> list[float]:
@@ -174,26 +192,37 @@ def integrate(
                 "failed", s, y, None, dense_s, dense_y, n_steps, n_rhs,
                 f"step size underflow at s={s!r}",
             )
-        # one embedded trial step
+        # one embedded trial step; each weighted sum is 0.0 + w1*k1 + w2*k2 + ...
+        # in stage order, zero weights included (see the module docstring)
         try:
-            ks = [k1]
-            for st in range(1, 6):
-                a = _A[st]
-                yt = [y[i] + h * sum(a[j] * ks[j][i] for j in range(st)) for i in range(dim)]
-                ks.append(call(s + _C[st] * h, yt))
+            k2 = call(s + C2 * h, [yi + h * (0.0 + A21 * a) for yi, a in zip(y, k1)])
+            k3 = call(s + C3 * h, [
+                yi + h * (0.0 + A31 * a + A32 * b) for yi, a, b in zip(y, k1, k2)
+            ])
+            k4 = call(s + C4 * h, [
+                yi + h * (0.0 + A41 * a + A42 * b + A43 * c)
+                for yi, a, b, c in zip(y, k1, k2, k3)
+            ])
+            k5 = call(s + C5 * h, [
+                yi + h * (0.0 + A51 * a + A52 * b + A53 * c + A54 * d)
+                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ])
+            k6 = call(s + C6 * h, [
+                yi + h * (0.0 + A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
+                for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ])
             y_new = [
-                y[i] + h * sum(_B5[j] * ks[j][i] for j in range(6)) for i in range(dim)
+                yi + h * (0.0 + B1 * a + B2 * b + B3 * c + B4 * d + B5 * e + B6 * g)
+                for yi, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
             ]
             k7 = call(s + h, y_new)
         except DomainGuard:
             h *= 0.5
             continue
-        ks.append(k7)
         err = 0.0
-        for i in range(dim):
-            e = h * sum(_E[j] * ks[j][i] for j in range(7))
-            scale = atol + rtol * max(abs(y[i]), abs(y_new[i]))
-            q = e / scale
+        for yi, yn, a, b, c, d, e, g, z in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
+            q = h * (0.0 + E1 * a + E2 * b + E3 * c + E4 * d + E5 * e + E6 * g + E7 * z)
+            q /= atol + rtol * max(abs(yi), abs(yn))
             err += q * q
         err = math.sqrt(err / dim)
         if err > 1.0:

@@ -11,7 +11,7 @@ target.  Solutions keep dense samples for trajectory comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .integrator import (
     DomainGuard,
@@ -117,6 +117,8 @@ class PhaseSolution:
 
     ``grid_y`` holds one row per tracked coordinate on the uniform grid
     ``grid_s``; retired minimum-degree coordinates are zero-filled.
+    ``n_steps`` and ``n_rhs`` count accepted steps and drift evaluations,
+    summed over the phases.
     """
 
     property: str
@@ -131,6 +133,7 @@ class PhaseSolution:
     status: str = "event"
     warnings: list[str] = field(default_factory=list)
     n_steps: int = 0
+    n_rhs: int = 0
 
     def coordinate(self, label: str) -> list[float]:
         return self.grid_y[self.labels.index(label)]
@@ -152,6 +155,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     grid_s: list[float] = []
     grid_y: list[list[float]] = [[] for _ in range(l)]
     total_steps = 0
+    total_rhs = 0
     for q in range(l):
         system = OdeSystem(
             dim=l - q,
@@ -160,6 +164,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         )
         res = integrate(system, cfg, y, s_budget=s + 5.0, s0=s)
         total_steps += res.n_steps
+        total_rhs += res.n_rhs
         if res.status != "event":
             raise OdeFailure(
                 f"phase {q} of the degree system (k={k}, l={l}) ended without "
@@ -186,6 +191,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         grid_s=grid_s,
         grid_y=grid_y,
         n_steps=total_steps,
+        n_rhs=total_rhs,
     )
     if sol.constant < l / 2:
         raise OdeFailure(f"degree constant {sol.constant} below the trivial bound {l/2}")
@@ -236,6 +242,7 @@ def solve_pm(
         grid_y=[[row[0] for row in res.dense_y], [row[1] for row in res.dense_y]],
         warnings=warnings,
         n_steps=res.n_steps,
+        n_rhs=res.n_rhs,
     )
     if sol.constant < 0.5:
         raise OdeFailure(f"matching constant {sol.constant} below the trivial bound 0.5")
@@ -291,6 +298,7 @@ def solve_ham(
         status=status,
         warnings=warnings,
         n_steps=res.n_steps,
+        n_rhs=res.n_rhs,
     )
     if sol.constant < 1.0:
         raise OdeFailure(f"path constant {sol.constant} below the trivial bound 1.0")
@@ -320,7 +328,11 @@ def emit_tables(
     (targets 1 and 2 respectively); the matching upper bound includes the
     fixed completion margin.  A path solve that stops short of x_stop
     raises ``OdeFailure`` rather than emit its pinned constant as a bound.
+    The tables read only the constants, so every solve runs without a
+    dense grid; sampling never changes the step sequence, so the constants
+    are the ones a sampled solve gives.
     """
+    cfg = replace(cfg or IntegratorConfig(), dense_step=None)
     records: list[TableRecord] = []
     if property_name == "min_degree":
         for l in l_range or range(1, 6):

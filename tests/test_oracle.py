@@ -1,13 +1,21 @@
 """Exact tiny-instance oracle and simulator agreement."""
 
+import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
 from semirandom import ProcessConfig
-from semirandom.harness import exact_small_oracle
-from semirandom.process import TIE_LOWEST, TIE_UNIFORM
+from semirandom.harness import chi_square_test, exact_small_oracle
+from semirandom.process import (
+    CIRCLE_POLICIES,
+    LOOP_POLICIES,
+    SQUARE_POLICIES,
+    TIE_LOWEST,
+    TIE_UNIFORM,
+)
 from semirandom.strategies import pm_run, run_min_degree
 
 
@@ -109,3 +117,117 @@ def test_simulator_agrees_with_oracle_full_sweep():
             mean = total / trials
             sigma = math.sqrt((totsq / trials - mean**2) / trials)
             assert abs(mean - float(res.expectation)) < 4 * sigma + 1e-9
+
+
+# sha256 prefix of repr((sorted(distribution.items()), expectation)) per
+# (n, k, l), over circle x square x loop policies in their declared order
+LAW_PINS = {
+    (3, 1, 1): (
+        "54e78ebdea900383", "54e78ebdea900383", "54e78ebdea900383",
+        "54e78ebdea900383", "2ae081fba94c629c", "2ae081fba94c629c",
+        "2ae081fba94c629c", "2ae081fba94c629c", "54e78ebdea900383",
+        "54e78ebdea900383", "54e78ebdea900383", "54e78ebdea900383",
+    ),
+    (3, 1, 2): (
+        "293442e316111220", "16272e968034a077", "293442e316111220",
+        "16272e968034a077", "5ca48065b22e991c", "a9073e13de70795c",
+        "5ca48065b22e991c", "a9073e13de70795c", "293442e316111220",
+        "16272e968034a077", "293442e316111220", "16272e968034a077",
+    ),
+    (3, 2, 1): (
+        "bd82645fe7363c53", "bd82645fe7363c53", "bd82645fe7363c53",
+        "bd82645fe7363c53", "2ae081fba94c629c", "2ae081fba94c629c",
+        "2ae081fba94c629c", "2ae081fba94c629c", "bd82645fe7363c53",
+        "bd82645fe7363c53", "bd82645fe7363c53", "bd82645fe7363c53",
+    ),
+    (3, 2, 2): (
+        "9c90ab34df15d922", "92187a4fd49a348f", "9c90ab34df15d922",
+        "92187a4fd49a348f", "35f2b435df36484b", "703fccb5df2e8731",
+        "35f2b435df36484b", "703fccb5df2e8731", "9c90ab34df15d922",
+        "92187a4fd49a348f", "9c90ab34df15d922", "92187a4fd49a348f",
+    ),
+    (4, 1, 1): (
+        "6006b73a7346a390", "6006b73a7346a390", "6006b73a7346a390",
+        "6006b73a7346a390", "1058ab192b374bd5", "1058ab192b374bd5",
+        "1058ab192b374bd5", "1058ab192b374bd5", "6006b73a7346a390",
+        "6006b73a7346a390", "6006b73a7346a390", "6006b73a7346a390",
+    ),
+    (4, 1, 2): (
+        "4ab3ac59c6003deb", "8a238e98260c41be", "4ab3ac59c6003deb",
+        "8a238e98260c41be", "53a2978c2faa93c5", "0de3cc0113d8d941",
+        "53a2978c2faa93c5", "0de3cc0113d8d941", "4ab3ac59c6003deb",
+        "8a238e98260c41be", "4ab3ac59c6003deb", "8a238e98260c41be",
+    ),
+    (4, 2, 1): (
+        "10e23b2041cf03c7", "10e23b2041cf03c7", "10e23b2041cf03c7",
+        "10e23b2041cf03c7", "67165a8a93ccc7df", "67165a8a93ccc7df",
+        "67165a8a93ccc7df", "67165a8a93ccc7df", "10e23b2041cf03c7",
+        "10e23b2041cf03c7", "10e23b2041cf03c7", "10e23b2041cf03c7",
+    ),
+    (4, 2, 2): (
+        "fd90140d045b20a3", "96e979ef7f09588d", "fd90140d045b20a3",
+        "96e979ef7f09588d", "c133b919430d93b5", "beeff5f3a5182289",
+        "c133b919430d93b5", "beeff5f3a5182289", "fd90140d045b20a3",
+        "96e979ef7f09588d", "fd90140d045b20a3", "96e979ef7f09588d",
+    ),
+    (5, 1, 1): (
+        "3831267c129a0be8", "3831267c129a0be8", "3831267c129a0be8",
+        "3831267c129a0be8", "f96c2feae413cd43", "f96c2feae413cd43",
+        "f96c2feae413cd43", "f96c2feae413cd43", "3831267c129a0be8",
+        "3831267c129a0be8", "3831267c129a0be8", "3831267c129a0be8",
+    ),
+    (5, 1, 2): (
+        "cbb5d40636362d15", "c8a687c8edb165bc", "cbb5d40636362d15",
+        "c8a687c8edb165bc", "5f8903a2a9301e51", "89b2303f631a955f",
+        "5f8903a2a9301e51", "89b2303f631a955f", "cbb5d40636362d15",
+        "c8a687c8edb165bc", "cbb5d40636362d15", "c8a687c8edb165bc",
+    ),
+    (5, 2, 1): (
+        "110881e81ae8457e", "110881e81ae8457e", "110881e81ae8457e",
+        "110881e81ae8457e", "d9d5bdde48f61ddc", "d9d5bdde48f61ddc",
+        "d9d5bdde48f61ddc", "d9d5bdde48f61ddc", "110881e81ae8457e",
+        "110881e81ae8457e", "110881e81ae8457e", "110881e81ae8457e",
+    ),
+    (5, 2, 2): (
+        "9f3288b7249a30fc", "6dd448acad2b42dd", "9f3288b7249a30fc",
+        "6dd448acad2b42dd", "c043279318ee9c96", "936e665868436ba0",
+        "c043279318ee9c96", "936e665868436ba0", "9f3288b7249a30fc",
+        "6dd448acad2b42dd", "9f3288b7249a30fc", "6dd448acad2b42dd",
+    ),
+}
+
+
+def test_min_degree_laws_are_pinned():
+    policies = list(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES, LOOP_POLICIES))
+    assert len(LAW_PINS) == 12
+    for (n, k, l), pins in LAW_PINS.items():
+        for (circle, square, loop), pin in zip(policies, pins, strict=True):
+            res = exact_small_oracle(n, k, "min_degree", l, circle, square, loop)
+            law = repr((sorted(res.distribution.items()), res.expectation))
+            got = hashlib.sha256(law.encode()).hexdigest()[:16]
+            assert got == pin, (n, k, l, circle, square, loop)
+
+
+LAW_TRIALS = 5000
+
+
+@pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_simulated_law_matches_oracle(k, l):
+    # the whole hitting-time law, not only its mean, for every circle and
+    # square policy; the oracle's support bounds every simulated value
+    n = 4
+    for i, (circle, square) in enumerate(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES)):
+        res = exact_small_oracle(n, k, "min_degree", l, circle, square)
+        support = sorted(res.distribution)
+        cfg = ProcessConfig(
+            n=n, k=k, seed=5000 + 100 * k + 10 * l + i, tie_break=circle, square_tie_break=square
+        )
+        counts = dict.fromkeys(support, 0)
+        for trial in range(LAW_TRIALS):
+            rounds = run_min_degree(cfg, l, trial_index=trial).rounds
+            assert rounds in counts, (circle, square, rounds)
+            counts[rounds] += 1
+        report = chi_square_test(
+            [counts[t] for t in support], [float(res.distribution[t]) for t in support]
+        )
+        assert report.p_value > 1e-3, (circle, square, report)

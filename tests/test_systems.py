@@ -1,11 +1,13 @@
 """Drift systems, solved constants, and their cross-checks."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
 from semirandom.ode import (
+    PM_UPPER_MARGIN,
     IntegratorConfig,
     OdeFailure,
     closed_form_degree1_constant,
@@ -172,3 +174,61 @@ def test_emit_tables_links_lower_bounds_to_degree_targets():
     assert len(recs) == 4
     with pytest.raises(ValueError):
         emit_tables("clique", range(1, 2))
+
+
+@pytest.fixture
+def rhs_counts(monkeypatch):
+    """RHS evaluations of each ``integrate`` call the solvers make."""
+    import semirandom.ode.systems as systems
+
+    counts = []
+    original = systems.integrate
+
+    def counting(*args, **kwargs):
+        res = original(*args, **kwargs)
+        counts.append(res.n_rhs)
+        return res
+
+    monkeypatch.setattr(systems, "integrate", counting)
+    return counts
+
+
+# solver, arguments, then the pins: constant repr, accepted steps, RHS
+# evaluations, sha256 prefix of repr(grid_y)
+SOLVE_PINS = [
+    (solve_min_degree, (3, 2), "1.090808981217813", 1096, 6668, "c1b92e7d0e4f0611"),
+    (solve_pm, (1,), "1.2769438135038105", 1556, 9475, "f8c969efd240f15f"),
+    (solve_pm, (2, 1e-3), "0.9066317099394485", 920, 5521, "fc2c698bc3533684"),
+    (solve_ham, (2,), "1.39615156959592", 1595, 9571, "e8afb507f7848b2f"),
+]
+
+
+def test_solves_are_bit_pinned(rhs_counts):
+    # a change to the stepper's arithmetic must not move a single bit
+    for solver, args, *pins in SOLVE_PINS:
+        rhs_counts.clear()
+        sol = solver(*args)
+        grid_hash = hashlib.sha256(repr(sol.grid_y).encode()).hexdigest()[:16]
+        got = [repr(sol.constant), sol.n_steps, sum(rhs_counts), grid_hash]
+        assert got == pins, (solver.__name__, args)
+    for args in (("min_degree", range(1, 3), range(1, 3)),
+                 ("perfect_matching", range(1, 3)),
+                 ("hamilton_cycle", range(1, 3))):
+        assert emit_tables(*args) == emit_tables(*args, cfg=IntegratorConfig())
+    # the tables solve without a dense grid and still give the sampled solves' bits
+    assert [r.constant for r in emit_tables("min_degree", range(2, 4), range(2, 3))] == [
+        solve_min_degree(2, 2).constant, solve_min_degree(3, 2).constant
+    ]
+    upper = [r.constant for r in emit_tables("perfect_matching", range(1, 2)) if r.kind == "upper"]
+    assert upper == [solve_pm(1).constant + PM_UPPER_MARGIN]
+    upper = [r.constant for r in emit_tables("hamilton_cycle", range(2, 3)) if r.kind == "upper"]
+    assert upper == [solve_ham(2).constant]
+
+
+def test_phase_solutions_count_rhs_evaluations(rhs_counts):
+    for solver, args in ((solve_min_degree, (2, 3)), (solve_pm, (1,)), (solve_ham, (1,))):
+        rhs_counts.clear()
+        sol = solver(*args)
+        assert sol.n_rhs == sum(rhs_counts)
+        # six fresh stages per accepted step, plus the first evaluation of each phase
+        assert sol.n_rhs >= 6 * sol.n_steps + len(sol.breakpoints)
