@@ -12,9 +12,7 @@ from .process import (
     GraphState,
     ProcessConfig,
     add_edge,
-    count_degree,
     init_state,
-    min_degree,
 )
 from .rng import SquareSource, trial_rng, trial_streams
 
@@ -24,9 +22,7 @@ __all__ = [
     "GraphState",
     "ProcessConfig",
     "add_edge",
-    "count_degree",
     "init_state",
-    "min_degree",
     "SquareSource",
     "trial_rng",
     "trial_streams",

@@ -214,11 +214,3 @@ def add_edge(state: GraphState, u: int, v: int) -> GraphState:
         n = state.config.n
         assert 1 <= u <= n and 1 <= v <= n
     return state
-
-
-def min_degree(state: GraphState) -> int:
-    return state.buckets.min_nonempty
-
-
-def count_degree(state: GraphState, d: int) -> int:
-    return state.buckets.count(d)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..process import ProcessConfig
-from ..rng import SquareSource, trial_streams
+from ..rng import ChoiceSource, SquareSource, trial_streams
 
 
 class StepOutcome(NamedTuple):
@@ -26,9 +26,16 @@ class StepOutcome(NamedTuple):
 def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):
     """(square source, choice stream) of one trial.
 
-    ``streams`` overrides the (seed, trial_index)-derived generator pair.
+    The (seed, trial_index)-derived choice generator is wrapped in a
+    ``ChoiceSource``, which draws the same values faster but reads ahead of
+    them.  ``streams`` overrides the generator pair and passes through
+    unwrapped, so a caller reusing them across runs sees numpy's own stream.
     """
-    rng_sq, rng_ch = streams if streams is not None else trial_streams(config.seed, trial_index)
+    if streams is None:
+        rng_sq, rng_ch = trial_streams(config.seed, trial_index)
+        rng_ch = ChoiceSource(rng_ch)
+    else:
+        rng_sq, rng_ch = streams
     return SquareSource(config.n, config.k, rng_sq), rng_ch
 
 

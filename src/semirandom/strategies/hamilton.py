@@ -151,6 +151,9 @@ class HamState:
         pos = {v: i for i, v in enumerate(order)}
         assert len(pos) == len(order), "path revisits a vertex"
         assert len(order) == self.X
+        assert lab[0] == OFF_UNSAT and self.nxt[0] == self.prv[0] == 0, "slot 0 is a sentinel"
+        for a, b in zip(order, order[1:]):
+            assert self.prv[b] == a, "prv links mirror nxt links"
         if order:
             assert self.prv[order[0]] == 0 and self.nxt[order[-1]] == 0
             assert self.head == order[0] and self.tail == order[-1]
@@ -221,19 +224,31 @@ classify_ham = partial(classify, _RANK)
 
 
 def _near(h: HamState, v: int, out: set[int]) -> None:
-    """Collect v and its on-path neighbours up to distance 2."""
-    if not v:
+    """Collect v and its on-path neighbours up to distance 2, in walk order."""
+    if not v or h.label[v] <= OFF_MATCHED:  # 0 or off the path
         return
-    lab = h.label
-    if lab[v] in (OFF_UNSAT, OFF_MATCHED):
-        return
-    out.add(v)
-    for w in (h.prv[v], h.nxt[v]):
-        if w:
-            out.add(w)
-            for z in (h.prv[w], h.nxt[w]):
-                if z:
-                    out.add(z)
+    prv = h.prv
+    nxt = h.nxt
+    add = out.add
+    add(v)
+    w = prv[v]
+    if w:
+        add(w)
+        z = prv[w]
+        if z:
+            add(z)
+        z = nxt[w]
+        if z:
+            add(z)
+    w = nxt[v]
+    if w:
+        add(w)
+        z = prv[w]
+        if z:
+            add(z)
+        z = nxt[w]
+        if z:
+            add(z)
 
 
 def _enter_path(h: HamState, v: int) -> None:
@@ -277,74 +292,85 @@ def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
         h.prv[seq[i + 1]] = seq[i]
 
 
-def _struct_class(h: HamState, v: int) -> int:
-    """GREEN next to a red, USELESS at exact distance 2, else PERMISSIBLE."""
-    lab = h.label
-    p = h.prv[v]
-    q = h.nxt[v]
-    if (p and lab[p] == RED) or (q and lab[q] == RED):
-        return GREEN
-    for w in (p, q):
-        if w:
-            for z in (h.prv[w], h.nxt[w]):
-                if z and z != v and lab[z] == RED:
-                    return USELESS
-    return PERMISSIBLE
-
-
 def _reclassify(h: HamState, vertices: set[int]) -> None:
+    """Refile the on-path, non-red vertices by their distance to a red one.
+
+    GREEN next to a red, USELESS at path distance exactly 2, else
+    PERMISSIBLE; a padded useless vertex stays useless by choice.  Slot 0 is
+    a sentinel (label OFF_UNSAT, no links), so missing neighbours read as
+    not red, and the links are consistent, so the distance-2 vertices are
+    ``prv[prv[v]]`` and ``nxt[nxt[v]]``.
+
+    The iteration order of ``vertices`` is load-bearing.  It fixes the order
+    of the add and discard calls on ``permissible`` and ``padding``, and that
+    order decides which vertex ``pop_arbitrary`` returns from then on.
+    Callers pass the set that ``_near`` filled, in the order it filled it; a
+    list, a deduplicated copy or any other traversal changes the runs.
+    """
     lab = h.label
+    prv = h.prv
+    nxt = h.nxt
+    permissible = h.permissible
+    padding = h.padding
+    greens = h.greens
+    useless = h.useless_struct
     for v in vertices:
         L = lab[v]
-        if L in (OFF_UNSAT, OFF_MATCHED, RED):
+        if L <= RED:  # off the path, or red
             continue
-        cls = _struct_class(h, v)
-        if cls == GREEN:
+        p = prv[v]
+        q = nxt[v]
+        if lab[p] == RED or lab[q] == RED:
             if L == GREEN:
                 continue
             if L == PERMISSIBLE:
-                h.permissible.discard(v)
-            elif v in h.useless_struct:
-                h.useless_struct.discard(v)
+                permissible.discard(v)
+            elif v in useless:
+                useless.discard(v)
             else:
-                h.padding.discard(v)
-            h.greens.add(v)
+                padding.discard(v)
+            greens.add(v)
             lab[v] = GREEN
-        elif cls == USELESS:
-            if v in h.useless_struct:
+        elif lab[prv[p]] == RED or lab[nxt[q]] == RED:
+            if v in useless:
                 continue
             if L == GREEN:
-                h.greens.discard(v)
+                greens.discard(v)
             elif L == PERMISSIBLE:
-                h.permissible.discard(v)
+                permissible.discard(v)
             else:
-                h.padding.discard(v)
-            h.useless_struct.add(v)
+                padding.discard(v)
+            useless.add(v)
             lab[v] = USELESS
         else:
-            if L == PERMISSIBLE or v in h.padding:
+            if L == PERMISSIBLE or v in padding:
                 continue  # padding stays useless by choice
             if L == GREEN:
-                h.greens.discard(v)
+                greens.discard(v)
             else:
-                h.useless_struct.discard(v)
-            h.permissible.add(v)
+                useless.discard(v)
+            permissible.add(v)
             lab[v] = PERMISSIBLE
 
 
 def _rebalance_padding(h: HamState) -> None:
     """Keep struct + padded useless at twice the red count when possible."""
     target = 2 * len(h.reds)
-    cur = len(h.useless_struct) + len(h.padding)
-    while cur > target and h.padding:
-        v = h.padding.pop_arbitrary()
-        h.label[v] = PERMISSIBLE
-        h.permissible.add(v)
+    padding = h.padding
+    cur = len(h.useless_struct) + len(padding)
+    if cur == target:
+        return
+    lab = h.label
+    permissible = h.permissible
+    while cur > target and padding:
+        v = padding.pop_arbitrary()
+        lab[v] = PERMISSIBLE
+        permissible.add(v)
         cur -= 1
-    while cur < target and h.permissible:
-        v = h.permissible.pop_arbitrary()
-        h.label[v] = USELESS
-        h.padding.add(v)
+    while cur < target and permissible:
+        v = permissible.pop_arbitrary()
+        lab[v] = USELESS
+        padding.add(v)
         cur += 1
 
 
@@ -529,11 +555,7 @@ def ham_completion(h: HamState, src: SquareSource, rng) -> tuple[int, list[int]]
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     extra = play(ham_step, h, src, rng, lambda: h.X >= n)
-    ends = (h.head, h.tail)
-    while True:
-        extra += 1
-        if any(s in ends for s in src.next_round()):
-            break
+    extra += src.rounds_until_hit((h.head, h.tail))
     cycle = h.path_order()
     verify_hamiltonian_cycle(cycle, n)
     return extra, cycle
@@ -553,12 +575,14 @@ def ham_run(
     sample_stride: int | None = None,
     complete: bool = True,
     validate_every: int = 0,
+    streams=None,
 ) -> HamTrace:
     """Run the path builder from scratch.
 
     The main phase ends when the path covers ``x_stop * n`` vertices;
     completion (finishing the path and closing the cycle) is measured
-    separately and never folded into the threshold count.
+    separately and never folded into the threshold count.  ``streams``
+    overrides the (seed, trial_index)-derived generator pair.
     """
     config.validate()
     n = config.n
@@ -567,7 +591,7 @@ def ham_run(
     if not 0.0 < x_stop <= 1.0:
         raise ValueError("x_stop must lie in (0, 1]")
     h = HamState(n, debug=config.debug)
-    src, rng_ch = trial_source(config, trial_index)
+    src, rng_ch = trial_source(config, trial_index, streams)
     stride = sample_stride if sample_stride is not None else max(1, n // 100)
     cut = x_stop * n
     samples = [(0, 0, 0, 0)] if stride else []

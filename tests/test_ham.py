@@ -1,5 +1,6 @@
 """Path builder: cases, class bookkeeping, runs, completion."""
 
+import hashlib
 import math
 
 import pytest
@@ -313,3 +314,20 @@ def test_threshold_round_tracks_solved_constant():
     tr = ham_run(cfg, x_stop=0.99, complete=False, sample_stride=0)
     sol = solve_ham(2, x_stop=0.99)
     assert abs(tr.threshold_round / 30_000 - sol.constant) < 0.02
+
+
+# sha256 prefix of repr((threshold, completion, total, samples, cycle)) of one
+# seeded run per k; any change to a drawn value or a decision shows here
+PINNED_HAM_TRACES = {
+    1: "53aa0aa05a83ad10",
+    2: "faf89a81ce6ad061",
+    3: "d991a51f1cb7b0d0",
+}
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_seeded_traces_are_pinned(k, debug):
+    tr = ham_run(ProcessConfig(n=2000, k=k, seed=2027, debug=debug), trial_index=3)
+    payload = repr((tr.threshold_round, tr.completion_rounds, tr.total_rounds, tr.samples, tr.cycle))
+    assert hashlib.sha256(payload.encode()).hexdigest()[:16] == PINNED_HAM_TRACES[k]

@@ -8,9 +8,7 @@ from semirandom import (
     ProcessConfig,
     add_edge,
     SquareSource,
-    count_degree,
     init_state,
-    min_degree,
     trial_rng,
     trial_streams,
 )
@@ -22,8 +20,8 @@ def test_init_state_empty_graph():
     state = init_state(ProcessConfig(n=5, k=2))
     assert state.t == 0
     assert state.degree[1:] == [0] * 5
-    assert min_degree(state) == 0
-    assert count_degree(state, 0) == 5
+    assert state.buckets.min_nonempty == 0
+    assert state.buckets.count(0) == 5
 
 
 def test_init_state_single_vertex():
@@ -101,7 +99,7 @@ def test_loop_conventions():
 def test_min_degree_after_one_edge():
     state = init_state(ProcessConfig(n=2, k=1))
     add_edge(state, 1, 2)
-    assert min_degree(state) == 1
+    assert state.buckets.min_nonempty == 1
 
 
 def test_counts_match_full_rescan():
@@ -113,7 +111,7 @@ def test_counts_match_full_rescan():
         add_edge(state, u, v)
     state.validate()
     for d in range(max(state.degree) + 1):
-        assert count_degree(state, d) == sum(1 for v in range(1, 51) if state.degree[v] == d)
+        assert state.buckets.count(d) == sum(1 for v in range(1, 51) if state.degree[v] == d)
 
 
 @given(
@@ -179,7 +177,7 @@ def test_lowest_vertex_queries():
     add_edge(state, 3, 4)
     add_edge(state, 5, 5)
     # all vertices now have degree >= 1; vertex 5 carries the loop
-    assert min_degree(state) == 1
+    assert state.buckets.min_nonempty == 1
     assert b.lowest(1) == 1
     assert b.lowest(2) == 5
     assert b.lowest(2, exclude=5) == 5  # alone in its bucket
