@@ -57,6 +57,3 @@ class IndexedSet:
         v = self._items.pop()
         del self._pos[v]
         return v
-
-    def as_list(self):
-        return list(self._items)

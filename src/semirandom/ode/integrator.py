@@ -20,7 +20,7 @@ is compensated, so there the written-out form is the stable one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 
@@ -49,9 +49,6 @@ class IntegratorConfig:
         if min(self.rtol, self.atol, self.max_step, self.event_tol, self.min_step) <= 0:
             raise ValueError("tolerances and step bounds must be positive")
         return self
-
-    def halved_rtol(self) -> "IntegratorConfig":
-        return replace(self, rtol=self.rtol / 2)
 
 
 @dataclass(frozen=True)

@@ -99,29 +99,31 @@ class ChoiceSource:
         return lo + (m >> 32)
 
 
+SQUARE_BLOCK_CAP = 4096  # rounds in SquareSource's largest block
+
+
 class SquareSource:
     """Per-round batches of k independent uniform picks from [1, n].
 
-    Draws are buffered in geometrically growing blocks (capped at
-    ``batch_rounds``) so short runs stay cheap and long runs amortize the
-    generator overhead; the value stream is a pure function of the
-    generator state.
+    Draws are buffered in geometrically growing blocks of 8, 16, ... up to
+    ``SQUARE_BLOCK_CAP`` rounds, so short runs stay cheap and long runs
+    amortize the generator overhead; the value stream is a pure function of
+    the generator state.
     """
 
-    __slots__ = ("n", "k", "_rng", "_buf", "_i", "_rounds", "_cap")
+    __slots__ = ("n", "k", "_rng", "_buf", "_i", "_rounds")
 
-    def __init__(self, n: int, k: int, rng: np.random.Generator, batch_rounds: int = 4096):
+    def __init__(self, n: int, k: int, rng: np.random.Generator):
         self.n = n
         self.k = k
         self._rng = rng
-        self._cap = max(1, batch_rounds)
-        self._rounds = min(8, self._cap)
+        self._rounds = 8
         self._buf: list[int] = []
         self._i = 0
 
     def _refill(self) -> list[int]:
         self._buf = buf = self._rng.integers(1, self.n + 1, size=self._rounds * self.k).tolist()
-        self._rounds = min(self._rounds * 2, self._cap)
+        self._rounds = min(self._rounds * 2, SQUARE_BLOCK_CAP)
         self._i = 0
         return buf
 

@@ -9,6 +9,12 @@ keep red vertices at path distance at least 3 apart, and the useless class
 is padded with arbitrary uncoloured path vertices up to twice the red
 count.  Squares are consumed greedily in the priority order: unsaturated,
 matched, green, permissible, (useless/red = pass).
+
+Each class lives in the label array; only the classes that are sampled or
+popped from also sit in an ``IndexedSet``, and the sizes the drift system
+reads are counters.  Cases b, c and d end in ``_settle``, which files the
+absorbed vertices (if any), uncolours the reds whose pending edge pointed
+at one of them, and refiles the vertices within path distance 2 of a change.
 """
 
 from __future__ import annotations
@@ -33,7 +39,16 @@ _RANK = {OFF_UNSAT: 0, OFF_MATCHED: 1, GREEN: 2, PERMISSIBLE: 3, USELESS: 4, RED
 
 
 class HamState:
-    """Path, matching and colour bookkeeping of the path builder."""
+    """Path, matching and colour bookkeeping of the path builder.
+
+    ``label[v]`` is v's class.  The classes drawn from (``unsat``,
+    ``matched``) or popped from (``permissible``, ``padding``) are also kept
+    as ``IndexedSet``s; ``padding`` holds the useless vertices that fill the
+    class up to twice the red count, and a useless vertex outside it is
+    structural (at path distance 2 from a red).  Four counters give the sizes
+    the strategy reads: ``X`` on-path vertices, ``R`` red, ``green_count``
+    green and ``useless_count`` useless, structural plus padded.
+    """
 
     __slots__ = (
         "n",
@@ -49,9 +64,10 @@ class HamState:
         "matched",
         "permissible",
         "padding",
-        "greens",
-        "useless_struct",
-        "reds",
+        "X",
+        "R",
+        "green_count",
+        "useless_count",
         "debug",
     )
 
@@ -71,51 +87,15 @@ class HamState:
         self.matched = IndexedSet()
         self.permissible = IndexedSet()
         self.padding = IndexedSet()
-        self.greens: set[int] = set()
-        self.useless_struct: set[int] = set()
-        self.reds: set[int] = set()
+        self.X = 0
+        self.R = 0
+        self.green_count = 0
+        self.useless_count = 0
         self.debug = debug
-
-    @property
-    def X(self) -> int:
-        return self.n - len(self.unsat) - len(self.matched)
 
     @property
     def Y(self) -> int:
         return len(self.matched)
-
-    @property
-    def R(self) -> int:
-        return len(self.reds)
-
-    @property
-    def green_count(self) -> int:
-        return len(self.greens)
-
-    @property
-    def useless_count(self) -> int:
-        return len(self.useless_struct) + len(self.padding)
-
-    def clone(self) -> "HamState":
-        other = HamState.__new__(HamState)
-        other.n = self.n
-        other.label = list(self.label)
-        other.nxt = list(self.nxt)
-        other.prv = list(self.prv)
-        other.head = self.head
-        other.tail = self.tail
-        other.mate = list(self.mate)
-        other.red_target = list(self.red_target)
-        other.red_at = {v: list(r) for v, r in self.red_at.items()}
-        other.unsat = IndexedSet(self.unsat.as_list())
-        other.matched = IndexedSet(self.matched.as_list())
-        other.permissible = IndexedSet(self.permissible.as_list())
-        other.padding = IndexedSet(self.padding.as_list())
-        other.greens = set(self.greens)
-        other.useless_struct = set(self.useless_struct)
-        other.reds = set(self.reds)
-        other.debug = self.debug
-        return other
 
     def path_order(self) -> list[int]:
         order = []
@@ -127,19 +107,12 @@ class HamState:
 
     def check_quick(self) -> None:
         """O(1) identities kept after every step in debug mode."""
-        total = (
-            len(self.unsat)
-            + len(self.matched)
-            + len(self.greens)
-            + len(self.useless_struct)
-            + len(self.padding)
-            + len(self.permissible)
-            + len(self.reds)
-        )
-        assert total == self.n, "the six classes must partition the vertices"
+        assert self.X + len(self.unsat) + len(self.matched) == self.n
+        on_path = self.R + self.green_count + self.useless_count + len(self.permissible)
+        assert on_path == self.X, "the four path classes must partition the path"
         assert len(self.matched) % 2 == 0, "matched vertices come in pairs"
-        r = len(self.reds)
-        assert len(self.greens) <= 2 * r
+        r = self.R
+        assert self.green_count <= 2 * r
         assert self.useless_count <= 2 * r
         assert self.useless_count == 2 * r or not self.permissible
 
@@ -171,27 +144,30 @@ class HamState:
             else:
                 assert v in pos
         assert len(self.matched) % 2 == 0
+        assert len(self.unsat) + len(self.matched) + self.X == n
         # red edges
+        reds = []
         for v in range(1, n + 1):
             if lab[v] == RED:
-                assert v in self.reds
+                reds.append(v)
                 z = self.red_target[v]
                 assert lab[z] in (OFF_UNSAT, OFF_MATCHED), "pending edges end off the path"
                 assert v in self.red_at.get(z, [])
             else:
-                assert v not in self.reds and self.red_target[v] == 0
+                assert self.red_target[v] == 0
+        assert len(reds) == self.R
         listed = sum(len(r) for r in self.red_at.values())
-        assert listed == len(self.reds)
+        assert listed == len(reds)
         for z, rs in self.red_at.items():
             for x in rs:
                 assert lab[x] == RED and self.red_target[x] == z
         # red separation and rebuilt colour classes
-        red_pos = sorted(pos[v] for v in self.reds)
+        red_pos = sorted(pos[v] for v in reds)
         for a, b in zip(red_pos, red_pos[1:]):
             assert b - a >= 3, "red vertices must sit at path distance >= 3"
         expect_green = set()
         expect_useless = set()
-        for v in self.reds:
+        for v in reds:
             i = pos[v]
             for j in (i - 1, i + 1):
                 if 0 <= j < len(order):
@@ -200,22 +176,25 @@ class HamState:
                 if 0 <= j < len(order):
                     expect_useless.add(order[j])
         expect_useless -= expect_green
-        assert self.greens == expect_green
-        assert self.useless_struct == expect_useless
         for v in self.padding:
             assert v in pos and v not in expect_green and v not in expect_useless
-            assert v not in self.reds
+            assert lab[v] != RED
+        permissible = 0
         for v in order:
-            if v in self.reds:
-                assert lab[v] == RED
+            if lab[v] == RED:
+                continue
             elif v in expect_green:
                 assert lab[v] == GREEN
             elif v in expect_useless or v in self.padding:
                 assert lab[v] == USELESS
             else:
                 assert lab[v] == PERMISSIBLE and v in self.permissible
-        r = len(self.reds)
-        assert len(self.greens) >= max(0, 2 * r - 4), "at most two red path endpoints"
+                permissible += 1
+        assert permissible == len(self.permissible)
+        assert self.green_count == len(expect_green)
+        assert self.useless_count == len(expect_useless) + len(self.padding)
+        r = self.R
+        assert self.green_count >= max(0, 2 * r - 4), "at most two red path endpoints"
         assert self.useless_count <= 2 * r
         assert self.useless_count == 2 * r or not self.permissible
 
@@ -251,34 +230,17 @@ def _near(h: HamState, v: int, out: set[int]) -> None:
             add(z)
 
 
-def _enter_path(h: HamState, v: int) -> None:
-    """Provisionally file a newly absorbed vertex as permissible."""
-    h.label[v] = PERMISSIBLE
-    h.permissible.add(v)
-
-
-def _uncolour_red(h: HamState, x: int, drop_target_entry: bool = True) -> None:
+def _uncolour_red(h: HamState, x: int) -> None:
     """Remove x's pending edge and return x to the uncoloured pool."""
     z = h.red_target[x]
-    if drop_target_entry:
-        rs = h.red_at.get(z)
-        rs.remove(x)
-        if not rs:
-            del h.red_at[z]
+    rs = h.red_at[z]
+    rs.remove(x)
+    if not rs:
+        del h.red_at[z]
     h.red_target[x] = 0
-    h.reds.discard(x)
+    h.R -= 1
     h.label[x] = PERMISSIBLE
     h.permissible.add(x)
-
-
-def _dead_reds(h: HamState, absorbed) -> list[int]:
-    """Reds whose pending edge points at a vertex being absorbed."""
-    dead: list[int] = []
-    for w in absorbed:
-        rs = h.red_at.pop(w, None)
-        if rs:
-            dead.extend(rs)
-    return dead
 
 
 def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
@@ -312,8 +274,8 @@ def _reclassify(h: HamState, vertices: set[int]) -> None:
     nxt = h.nxt
     permissible = h.permissible
     padding = h.padding
-    greens = h.greens
-    useless = h.useless_struct
+    n_green = h.green_count
+    n_useless = h.useless_count
     for v in vertices:
         L = lab[v]
         if L <= RED:  # off the path, or red
@@ -325,42 +287,42 @@ def _reclassify(h: HamState, vertices: set[int]) -> None:
                 continue
             if L == PERMISSIBLE:
                 permissible.discard(v)
-            elif v in useless:
-                useless.discard(v)
             else:
-                padding.discard(v)
-            greens.add(v)
+                padding.discard(v)  # a no-op on a structural useless vertex
+                n_useless -= 1
+            n_green += 1
             lab[v] = GREEN
         elif lab[prv[p]] == RED or lab[nxt[q]] == RED:
-            if v in useless:
+            if L == USELESS:
+                padding.discard(v)  # a padded vertex turns structural
                 continue
             if L == GREEN:
-                greens.discard(v)
-            elif L == PERMISSIBLE:
-                permissible.discard(v)
+                n_green -= 1
             else:
-                padding.discard(v)
-            useless.add(v)
+                permissible.discard(v)
+            n_useless += 1
             lab[v] = USELESS
         else:
             if L == PERMISSIBLE or v in padding:
                 continue  # padding stays useless by choice
             if L == GREEN:
-                greens.discard(v)
+                n_green -= 1
             else:
-                useless.discard(v)
+                n_useless -= 1
             permissible.add(v)
             lab[v] = PERMISSIBLE
+    h.green_count = n_green
+    h.useless_count = n_useless
 
 
 def _rebalance_padding(h: HamState) -> None:
     """Keep struct + padded useless at twice the red count when possible."""
-    target = 2 * len(h.reds)
-    padding = h.padding
-    cur = len(h.useless_struct) + len(padding)
+    target = 2 * h.R
+    cur = h.useless_count
     if cur == target:
         return
     lab = h.label
+    padding = h.padding
     permissible = h.permissible
     while cur > target and padding:
         v = padding.pop_arbitrary()
@@ -372,6 +334,34 @@ def _rebalance_padding(h: HamState) -> None:
         lab[v] = USELESS
         padding.add(v)
         cur += 1
+    h.useless_count = cur
+
+
+def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> None:
+    """Refile the path after a step that changed it.
+
+    The ``absorbed`` vertices, already linked into the path, are filed as
+    permissible in that order; the reds whose pending edge points at one of
+    them are uncoloured in ``red_at`` order.  Then the neighbourhoods of
+    ``seeds`` and of those reds, in that order, are reclassified and the
+    padding is rebalanced.
+    """
+    lab = h.label
+    dead: list[int] = []
+    for w in absorbed:
+        lab[w] = PERMISSIBLE
+        h.permissible.add(w)
+        dead += h.red_at.get(w, ())
+    h.X += len(absorbed)
+    for x in dead:
+        _uncolour_red(h, x)
+    affected: set[int] = set()
+    for w in (*seeds, *dead):
+        _near(h, w, affected)
+    _reclassify(h, affected)
+    _rebalance_padding(h)
+    if h.debug:
+        h.check_quick()
 
 
 def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
@@ -412,18 +402,7 @@ def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
         h.nxt[u] = m
         h.prv[m] = u
         h.tail = m
-        _enter_path(h, u)
-        _enter_path(h, m)
-        dead = _dead_reds(h, (u, m))
-        for x in dead:
-            _uncolour_red(h, x, drop_target_entry=False)
-        affected: set[int] = set()
-        for w in (old_tail, u, m, *dead):
-            _near(h, w, affected)
-        _reclassify(h, affected)
-        _rebalance_padding(h)
-        if h.debug:
-            h.check_quick()
+        _settle(h, (u, m), (old_tail, u, m))
         return StepOutcome("b", i + 1, u, v, True)
 
     if rank == 2:  # absorb through the pending edge of u's red neighbour
@@ -436,7 +415,6 @@ def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
             case = "c'"
             v = z
             h.unsat.discard(z)
-            _enter_path(h, z)
             absorbed: tuple[int, ...] = (z,)
             _splice(h, u, y, (z,))
         else:
@@ -447,20 +425,9 @@ def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
             h.matched.discard(q)
             h.mate[z] = 0
             h.mate[q] = 0
-            _enter_path(h, z)
-            _enter_path(h, q)
             absorbed = (z, q)
             _splice(h, u, y, (q, z))
-        dead = _dead_reds(h, absorbed)
-        for x in dead:
-            _uncolour_red(h, x, drop_target_entry=False)
-        affected = set()
-        for w in (u, y, *absorbed, *dead):
-            _near(h, w, affected)
-        _reclassify(h, affected)
-        _rebalance_padding(h)
-        if h.debug:
-            h.check_quick()
+        _settle(h, absorbed, (u, y, *absorbed))
         return StepOutcome(case, i + 1, u, v, True)
 
     if rank == 3:  # colour a new pending edge from a permissible vertex
@@ -471,15 +438,10 @@ def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
         v = h.matched.at(j) if j < nm else h.unsat.at(j - nm)
         h.permissible.discard(u)
         lab[u] = RED
-        h.reds.add(u)
+        h.R += 1
         h.red_target[u] = v
         h.red_at.setdefault(v, []).append(u)
-        affected = set()
-        _near(h, u, affected)
-        _reclassify(h, affected)
-        _rebalance_padding(h)
-        if h.debug:
-            h.check_quick()
+        _settle(h, (), (u,))
         return StepOutcome("d", i + 1, u, v, True)
 
     v = int(rng.integers(1, h.n + 1))  # pass

@@ -36,7 +36,7 @@ class PMState:
     unsaturated vertex v (several pending edges may share a target).
     """
 
-    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "red_count", "debug")
+    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "R", "debug")
 
     def __init__(self, n: int, debug: bool = False):
         if n < 1:
@@ -47,7 +47,7 @@ class PMState:
         self.green_partner = [0] * (n + 1)
         self.green_at: dict[int, list[int]] = {}
         self.unsat = IndexedSet(range(1, n + 1))
-        self.red_count = 0
+        self.R = 0
         self.debug = debug
 
     @property
@@ -58,33 +58,17 @@ class PMState:
     def X(self) -> int:
         return self.n - len(self.unsat)
 
-    @property
-    def R(self) -> int:
-        return self.red_count
-
-    def clone(self) -> "PMState":
-        other = PMState.__new__(PMState)
-        other.n = self.n
-        other.label = list(self.label)
-        other.mate = list(self.mate)
-        other.green_partner = list(self.green_partner)
-        other.green_at = {v: list(g) for v, g in self.green_at.items()}
-        other.unsat = IndexedSet(self.unsat.as_list())
-        other.red_count = self.red_count
-        other.debug = self.debug
-        return other
-
     def check_quick(self) -> None:
         """O(1) identities kept after every step in debug mode."""
         assert self.X + self.U == self.n
         assert self.X % 2 == 0, "saturated vertices come in matched pairs"
-        assert 0 <= self.red_count <= self.X // 2
+        assert 0 <= self.R <= self.X // 2
 
     def validate(self) -> None:
         """Full label/bookkeeping sweep."""
         n = self.n
         lab = self.label
-        greens = reds = 0
+        n_green = n_red = 0
         for v in range(1, n + 1):
             L = lab[v]
             if L == UNSAT:
@@ -95,21 +79,21 @@ class PMState:
                 m = self.mate[v]
                 assert 1 <= m <= n and self.mate[m] == v and m != v
                 if L == M_GREEN:
-                    greens += 1
+                    n_green += 1
                     assert lab[m] == M_RED, "a green vertex's mate must be red"
                     y = self.green_partner[v]
                     assert lab[y] == UNSAT, "pending edges target unsaturated vertices"
                     assert v in self.green_at.get(y, [])
                 elif L == M_RED:
-                    reds += 1
+                    n_red += 1
                     assert lab[m] == M_GREEN
                     assert self.green_partner[v] == 0
                 else:
                     assert lab[m] == M_UNCOL
                     assert self.green_partner[v] == 0
-        assert greens == reds == self.red_count
+        assert n_green == n_red == self.R
         listed = sum(len(g) for g in self.green_at.values())
-        assert listed == greens
+        assert listed == n_green
         for y, gs in self.green_at.items():
             assert lab[y] == UNSAT
             for g in gs:
@@ -129,7 +113,7 @@ def _uncolour_all_at(pm: PMState, w: int) -> None:
         lab[g] = M_UNCOL
         lab[pm.mate[g]] = M_UNCOL
         pm.green_partner[g] = 0
-        pm.red_count -= 1
+        pm.R -= 1
 
 
 def _saturate_pair(pm: PMState, u: int, v: int) -> None:
@@ -170,7 +154,7 @@ def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
             pm.green_partner[x] = 0
             pm.label[x] = M_UNCOL
             pm.label[u] = M_UNCOL
-            pm.red_count -= 1
+            pm.R -= 1
             pm.label[y] = M_UNCOL
             pm.label[v] = M_UNCOL
             pm.mate[x] = y
@@ -188,7 +172,7 @@ def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
         pm.green_partner[u] = v
         pm.green_at.setdefault(v, []).append(u)
         pm.label[pm.mate[u]] = M_RED
-        pm.red_count += 1
+        pm.R += 1
         changed = True
     else:  # pass
         v = int(rng.integers(1, pm.n + 1))

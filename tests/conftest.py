@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from semirandom.indexed import IndexedSet
+
 settings.register_profile(
     "default",
     deadline=None,
@@ -33,3 +35,25 @@ class ScriptedRng:
 @pytest.fixture
 def scripted_rng():
     return ScriptedRng
+
+
+def _copy_state(state):
+    """Independent copy of a builder state (``PMState`` or ``HamState``).
+
+    Lists, dicts of lists and ``IndexedSet``s are copied, the sets in packed
+    order, so the copy makes the same draws as the original would.
+    """
+    other = object.__new__(type(state))
+    for name in type(state).__slots__:
+        value = getattr(state, name)
+        if isinstance(value, (list, IndexedSet)):
+            value = type(value)(value)
+        elif isinstance(value, dict):
+            value = {key: list(items) for key, items in value.items()}
+        setattr(other, name, value)
+    return other
+
+
+@pytest.fixture
+def copy_state():
+    return _copy_state

@@ -4,6 +4,7 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from semirandom import ProcessConfig, trial_rng
 from semirandom.rng import SquareSource, trial_streams
@@ -46,10 +47,11 @@ def build_path(n, path, matched=(), reds=()):
         h.mate[b] = a
         h.matched.add(a)
         h.matched.add(b)
+    h.X = len(path)
     for x, z in reds:
         h.permissible.discard(x)
         h.label[x] = RED
-        h.reds.add(x)
+        h.R += 1
         h.red_target[x] = z
         h.red_at.setdefault(z, []).append(x)
     # rebuild the derived classes the same way the step function does
@@ -76,7 +78,7 @@ def test_match_case(scripted_rng):
     if out.changed:
         assert h.Y == 2
     h2 = HamState(6, debug=True)
-    idx = h2.unsat.as_list().index(2)
+    idx = list(h2.unsat).index(2)
     out = ham_step(h2, [2], scripted_rng([idx]))
     assert out.case == "a" and not out.changed  # self hit
 
@@ -215,15 +217,15 @@ def _rerandomize_red_targets(h, rng):
     Conditioned on the tracked counts this is the process's own law for the
     unexposed endpoints, which is what the drift formulas average over.
     """
-    off = h.matched.as_list() + h.unsat.as_list()
+    off = list(h.matched) + list(h.unsat)
     h.red_at.clear()
-    for x in sorted(h.reds):
+    for x in (v for v in range(1, h.n + 1) if h.label[v] == RED):
         z = off[rng.integers(len(off))]
         h.red_target[x] = z
         h.red_at.setdefault(z, []).append(x)
 
 
-def test_one_step_drift_matches_case_probability_formula():
+def test_one_step_drift_matches_case_probability_formula(copy_state):
     n, k = 200, 2
     cfg = ProcessConfig(n=n, k=k, seed=9)
     h = HamState(n)
@@ -250,7 +252,7 @@ def test_one_step_drift_matches_case_probability_formula():
     sums = [0.0, 0.0, 0.0]
     sqs = [0.0, 0.0, 0.0]
     for _ in range(samples):
-        probe = h.clone()
+        probe = copy_state(h)
         _rerandomize_red_targets(probe, rng)
         ham_step(probe, rng.integers(1, n + 1, size=k).tolist(), rng)
         for j, d in enumerate((probe.X - X, probe.Y - Y, probe.R - R)):
@@ -260,6 +262,18 @@ def test_one_step_drift_matches_case_probability_formula():
         mean = sums[j] / samples
         sd = math.sqrt(max(sqs[j] / samples - mean**2, 1e-12))
         assert abs(mean - pred) < 3 * sd / math.sqrt(samples) + 2 / n
+
+
+@given(n=st.integers(3, 60), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_random_rounds_keep_the_class_counters(n, k, seed):
+    # validate() rebuilds every class from the labels and the path, and
+    # checks X, R, green_count and useless_count against that rescan
+    h = HamState(n, debug=True)
+    rng_sq, rng_ch = trial_streams(seed, 0)
+    src = SquareSource(n, k, rng_sq)
+    while h.X < n:
+        ham_step(h, src.next_round(), rng_ch)
+        h.validate()
 
 
 def test_full_runs_keep_invariants():

@@ -27,7 +27,7 @@ def test_matches_reference_set(ops):
             assert out in model
             model.discard(out)
         assert len(s) == len(model)
-        assert set(s.as_list()) == model
+        assert set(s) == model
         for x in model:
             assert x in s
 
@@ -45,8 +45,8 @@ def test_sampling_is_roughly_uniform():
 
 def test_at_and_pop_are_deterministic():
     s = IndexedSet([3, 1, 4, 1, 5])
-    assert s.as_list() == [3, 1, 4, 5]
+    assert list(s) == [3, 1, 4, 5]
     assert s.at(0) == 3
     assert s.pop_arbitrary() == 5
     s.discard(3)  # tail (4... actually last element) swaps into slot 0
-    assert s.as_list() == [4, 1]
+    assert list(s) == [4, 1]

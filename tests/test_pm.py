@@ -42,7 +42,7 @@ def build_pm(n, pairs, coloured=(), unsat_targets=None):
         pm.label[r] = M_RED
         pm.green_partner[g] = y
         pm.green_at.setdefault(y, []).append(g)
-        pm.red_count += 1
+        pm.R += 1
     pm.validate()
     return pm
 
@@ -78,7 +78,7 @@ def test_case_colour_then_augment_reaches_perfect_matching(scripted_rng):
     pm.validate()
     # square on the red vertex augments along the pending edge
     other = 7 - y  # the remaining unsaturated vertex (3 + 4 - y)
-    idx = pm.unsat.as_list().index(other)
+    idx = list(pm.unsat).index(other)
     out = pm_step(pm, [2], scripted_rng([idx]))
     assert out.case == "b" and out.changed
     assert pm.U == 0 and pm.R == 0
@@ -88,7 +88,7 @@ def test_case_colour_then_augment_reaches_perfect_matching(scripted_rng):
 
 def test_case_augment_self_hit_is_noop(scripted_rng):
     pm = build_pm(4, [(1, 2)], coloured=[0], unsat_targets=[3])
-    idx = pm.unsat.as_list().index(3)
+    idx = list(pm.unsat).index(3)
     out = pm_step(pm, [2], scripted_rng([idx]))  # draws the pending endpoint
     assert out.case == "b" and not out.changed
     assert pm.R == 1 and pm.U == 2
@@ -99,7 +99,7 @@ def test_final_augmentation_completes_matching(scripted_rng):
     # all but two saturated, one coloured pair: a red square finishes the job
     pm = build_pm(4, [(1, 2)], coloured=[0], unsat_targets=[3])
     assert pm.X == 2 and pm.R == 1
-    idx = pm.unsat.as_list().index(4)
+    idx = list(pm.unsat).index(4)
     out = pm_step(pm, [2], scripted_rng([idx]))
     assert out.case == "b"
     assert pm.X == 4 and pm.U == 0 and pm.R == 0
@@ -171,7 +171,7 @@ def _rerandomize_green_targets(pm, rng):
     Conditioned on (X, R) this is the process's own law for the unexposed
     endpoints, which is what the drift formulas average over.
     """
-    unsat = pm.unsat.as_list()
+    unsat = list(pm.unsat)
     pm.green_at.clear()
     for g in range(1, pm.n + 1):
         if pm.label[g] == M_GREEN:
@@ -180,7 +180,7 @@ def _rerandomize_green_targets(pm, rng):
             pm.green_at.setdefault(y, []).append(g)
 
 
-def test_one_step_drift_matches_case_probability_formula():
+def test_one_step_drift_matches_case_probability_formula(copy_state):
     # run to the middle of the process, then resample single steps
     n, k = 200, 2
     cfg = ProcessConfig(n=n, k=k, seed=5)
@@ -203,7 +203,7 @@ def test_one_step_drift_matches_case_probability_formula():
     sums = [0.0, 0.0]
     sqs = [0.0, 0.0]
     for _ in range(samples):
-        probe = pm.clone()
+        probe = copy_state(pm)
         _rerandomize_green_targets(probe, rng)
         pm_step(probe, rng.integers(1, n + 1, size=k).tolist(), rng)
         for j, d in enumerate((probe.X - X, probe.R - R)):
