@@ -181,7 +181,7 @@ def _cmd_compare(args) -> int:
     import json
 
     spec = _spec_from_args(args, record_trajectory=True, complete=False).validate()
-    summary = run_trials(spec, workers=args.threads)
+    # solve first: a threshold the solver rejects fails before any trial runs
     stop = spec.effective_threshold()
     if spec.property == PROP_MIN_DEGREE:
         solution = solve_min_degree(spec.k, spec.l)
@@ -189,6 +189,7 @@ def _cmd_compare(args) -> int:
         solution = solve_pm(spec.k, eps=stop)
     else:
         solution = solve_ham(spec.k, x_stop=stop)
+    summary = run_trials(spec, workers=args.threads)
     report = trajectory_check(summary, solution)
     payload = {
         "property": spec.property,

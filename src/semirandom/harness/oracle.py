@@ -47,10 +47,6 @@ class OracleResult:
     distribution: dict[int, Fraction]
     tail: Fraction
 
-    @property
-    def expectation_float(self) -> float:
-        return float(self.expectation)
-
 
 def exact_small_oracle(
     n: int,

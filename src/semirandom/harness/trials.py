@@ -8,6 +8,7 @@ completion rounds are always reported separately and never summed.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -162,11 +163,6 @@ def _run_one(spec: TrialSpec, index: int) -> TrialResult:
     )
 
 
-def _run_one_packed(args) -> TrialResult:
-    spec, index = args
-    return _run_one(spec, index)
-
-
 def run_trials(spec: TrialSpec, workers: int = 1) -> TrialSummary:
     """Run all trials of a spec; deterministic for fixed spec and seed."""
     if workers < 1:
@@ -175,7 +171,7 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialSummary:
     indices = range(spec.trials)
     if workers > 1 and spec.trials > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one_packed, [(spec, i) for i in indices]))
+            results = list(pool.map(_run_one, itertools.repeat(spec), indices))
     else:
         results = [_run_one(spec, i) for i in indices]
     results.sort(key=lambda r: r.trial)

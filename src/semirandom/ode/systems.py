@@ -28,7 +28,6 @@ HAM_X_STOP_DEFAULT = 1.0 - 1e-9
 HAM_S_BUDGET = 3.0
 PM_S_BUDGET = 2.0
 PM_UPPER_MARGIN = 1e-5
-SLOW_ENDGAME_SLOPE = 0.05
 
 
 def _clip01(v: float) -> float:
@@ -126,12 +125,9 @@ class PhaseSolution:
     l: int | None
     breakpoints: list[float]
     constant: float
-    terminal_state: list[float]
     labels: tuple[str, ...]
     grid_s: list[float] = field(repr=False, default_factory=list)
     grid_y: list[list[float]] = field(repr=False, default_factory=list)
-    status: str = "event"
-    warnings: list[str] = field(default_factory=list)
     n_steps: int = 0
     n_rhs: int = 0
 
@@ -160,7 +156,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         system = OdeSystem(
             dim=l - q,
             drift=rhs_min_degree(q, k, l),
-            events=(Event(lambda _s, yy: yy[0], direction=-1),),
+            event=Event(lambda _s, yy: yy[0], direction=-1),
         )
         res = integrate(system, cfg, y, s_budget=s + 5.0, s0=s)
         total_steps += res.n_steps
@@ -186,7 +182,6 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         l=l,
         breakpoints=breakpoints,
         constant=s,
-        terminal_state=y,
         labels=tuple(f"y{i}" for i in range(l)),
         grid_s=grid_s,
         grid_y=grid_y,
@@ -198,55 +193,60 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     return sol
 
 
+def _solve_stop(
+    property_name: str, k: int, drift, event: Event, labels: tuple[str, ...],
+    s_budget: float, bound: float, cfg: IntegratorConfig | None,
+) -> PhaseSolution:
+    """Scaled rounds from the origin until ``event`` fires.
+
+    Raises ``OdeFailure`` when the event does not fire by ``s_budget`` or
+    the constant lies below the trivial lower ``bound``.
+    """
+    dim = len(labels)
+    system = OdeSystem(dim=dim, drift=drift, event=event)
+    res = integrate(system, cfg or IntegratorConfig(), [0.0] * dim, s_budget=s_budget)
+    if res.status != "event":
+        raise OdeFailure(
+            f"{property_name} system (k={k}) did not reach its threshold by s={s_budget}: "
+            f"{res.status} {res.message}"
+        )
+    if res.s_end < bound:
+        raise OdeFailure(
+            f"{property_name} constant {res.s_end} below the trivial bound {bound}"
+        )
+    return PhaseSolution(
+        property=property_name,
+        k=k,
+        l=None,
+        breakpoints=[res.s_end],
+        constant=res.s_end,
+        labels=labels,
+        grid_s=res.dense_s,
+        grid_y=[[row[i] for row in res.dense_y] for i in range(dim)],
+        n_steps=res.n_steps,
+        n_rhs=res.n_rhs,
+    )
+
+
 def solve_pm(
     k: int, eps: float = PM_EPS_DEFAULT, cfg: IntegratorConfig | None = None
 ) -> PhaseSolution:
     """Scaled rounds until at most an eps fraction stays unsaturated.
 
-    The event localizes 1 - x(s) = eps.  The endgame slows as x approaches
-    1 (the slope decays like sqrt(1 - x)); a terminal slope below
-    SLOW_ENDGAME_SLOPE is reported as a warning, not an error.
+    The event localizes 1 - x(s) = eps; the endgame slows as x approaches 1
+    (the slope decays like sqrt(1 - x)).  A round saturates at most two
+    vertices, so a constant below (1 - eps) / 2 is an error.  Raises
+    ``OdeFailure`` when the threshold is not reached by s = PM_S_BUDGET.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not PM_EPS_MIN <= eps < 1.0:
         raise ValueError(f"eps must lie in [{PM_EPS_MIN}, 1), got {eps}")
-    cfg = cfg or IntegratorConfig()
-    drift = rhs_pm(k, guard_eps=eps / 2)
-    system = OdeSystem(
-        dim=2,
-        drift=drift,
-        events=(Event(lambda _s, y: (1.0 - y[0]) - eps, direction=-1),),
+    return _solve_stop(
+        "perfect_matching", k, rhs_pm(k, guard_eps=eps / 2),
+        Event(lambda _s, y: (1.0 - y[0]) - eps, direction=-1),
+        ("x", "r"), PM_S_BUDGET, (1.0 - eps) / 2, cfg,
     )
-    res = integrate(system, cfg, [0.0, 0.0], s_budget=PM_S_BUDGET)
-    if res.status != "event":
-        raise OdeFailure(
-            f"matching system (k={k}, eps={eps}) ended without reaching its "
-            f"threshold: {res.status} {res.message}"
-        )
-    warnings = []
-    slope = drift(res.s_end, res.y_end)[0]
-    if slope < SLOW_ENDGAME_SLOPE:
-        warnings.append(
-            f"slow endgame: terminal dx/ds = {slope:.3e} below {SLOW_ENDGAME_SLOPE}"
-        )
-    sol = PhaseSolution(
-        property="perfect_matching",
-        k=k,
-        l=None,
-        breakpoints=[res.s_end],
-        constant=res.s_end,
-        terminal_state=res.y_end,
-        labels=("x", "r"),
-        grid_s=res.dense_s,
-        grid_y=[[row[0] for row in res.dense_y], [row[1] for row in res.dense_y]],
-        warnings=warnings,
-        n_steps=res.n_steps,
-        n_rhs=res.n_rhs,
-    )
-    if sol.constant < 0.5:
-        raise OdeFailure(f"matching constant {sol.constant} below the trivial bound 0.5")
-    return sol
 
 
 def solve_ham(
@@ -254,55 +254,18 @@ def solve_ham(
 ) -> PhaseSolution:
     """Scaled rounds until the path fraction reaches x_stop.
 
-    If the trajectory does not reach x_stop by s = 3 the budget exhaustion
-    is reported in ``status`` with the constant pinned at 3.
+    A round plays one edge, so a constant below x_stop is an error.  Raises
+    ``OdeFailure`` when x_stop is not reached by s = HAM_S_BUDGET.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 < x_stop < 1.0:
         raise ValueError("x_stop must lie in (0, 1)")
-    cfg = cfg or IntegratorConfig()
-    drift = rhs_ham(k, guard_eps=(1.0 - x_stop) / 2)
-    system = OdeSystem(
-        dim=3,
-        drift=drift,
-        events=(Event(lambda _s, y: y[0] - x_stop, direction=1),),
+    return _solve_stop(
+        "hamilton_cycle", k, rhs_ham(k, guard_eps=(1.0 - x_stop) / 2),
+        Event(lambda _s, y: y[0] - x_stop, direction=1),
+        ("x", "y", "r"), HAM_S_BUDGET, x_stop, cfg,
     )
-    res = integrate(system, cfg, [0.0, 0.0, 0.0], s_budget=HAM_S_BUDGET)
-    if res.status == "failed":
-        raise OdeFailure(f"path system (k={k}) failed: {res.message}")
-    warnings = []
-    status = res.status
-    if status == "budget":
-        warnings.append("budget exhausted: path fraction did not reach x_stop by s=3")
-    else:
-        slope = drift(res.s_end, res.y_end)[0]
-        if slope < SLOW_ENDGAME_SLOPE:
-            warnings.append(
-                f"slow endgame: terminal dx/ds = {slope:.3e} below {SLOW_ENDGAME_SLOPE}"
-            )
-    sol = PhaseSolution(
-        property="hamilton_cycle",
-        k=k,
-        l=None,
-        breakpoints=[res.s_end],
-        constant=res.s_end,
-        terminal_state=res.y_end,
-        labels=("x", "y", "r"),
-        grid_s=res.dense_s,
-        grid_y=[
-            [row[0] for row in res.dense_y],
-            [row[1] for row in res.dense_y],
-            [row[2] for row in res.dense_y],
-        ],
-        status=status,
-        warnings=warnings,
-        n_steps=res.n_steps,
-        n_rhs=res.n_rhs,
-    )
-    if sol.constant < 1.0:
-        raise OdeFailure(f"path constant {sol.constant} below the trivial bound 1.0")
-    return sol
 
 
 @dataclass(frozen=True)
@@ -326,8 +289,8 @@ def emit_tables(
 
     The matching and path tables carry lower bounds from the degree system
     (targets 1 and 2 respectively); the matching upper bound includes the
-    fixed completion margin.  A path solve that stops short of x_stop
-    raises ``OdeFailure`` rather than emit its pinned constant as a bound.
+    fixed completion margin.  A matching or path solve that misses its
+    threshold raises ``OdeFailure``, so no table carries an unfinished bound.
     The tables read only the constants, so every solve runs without a
     dense grid; sampling never changes the step sequence, so the constants
     are the ones a sampled solve gives.
@@ -353,10 +316,6 @@ def emit_tables(
         for k in k_range:
             lower = solve_min_degree(k, 2, cfg)
             upper = solve_ham(k, x_stop, cfg)
-            if upper.status != "event":
-                raise OdeFailure(
-                    f"path system (k={k}) stopped short of x_stop={x_stop}: {upper.status}"
-                )
             records.append(TableRecord("hamilton_cycle", k, None, lower.constant, "lower"))
             records.append(TableRecord("hamilton_cycle", k, None, upper.constant, "upper"))
     else:
@@ -364,7 +323,7 @@ def emit_tables(
     return records
 
 
-def closed_form_degree1_constant(k: int, panels: int = 4000) -> float:
+def closed_form_degree1_constant(k: int) -> float:
     """Independent check for the single-phase degree constant.
 
     With one tracked coordinate the phase reduces to a separable equation;
@@ -373,6 +332,7 @@ def closed_form_degree1_constant(k: int, panels: int = 4000) -> float:
     """
     if k == 1:
         return math.log(2.0)
+    panels = 4000
     h = 1.0 / panels
     total = 0.0
     for i in range(panels):

@@ -9,7 +9,7 @@ minimum degree (no minimum-degree vertex lies below it).  Vertices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 TIE_LOWEST = "lowest_index"
 TIE_AVOID = "avoid_square_then_lowest"
@@ -52,9 +52,6 @@ class ProcessConfig:
         if self.loop_degree not in LOOP_POLICIES:
             raise ValueError(f"unknown loop policy {self.loop_degree!r}")
         return self
-
-    def with_seed(self, seed: int) -> "ProcessConfig":
-        return replace(self, seed=seed)
 
 
 class DegreeBuckets:

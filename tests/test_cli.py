@@ -1,7 +1,6 @@
 """Command-line surface: flags, outputs, exit codes."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -72,13 +71,8 @@ def test_ode_table_rejects_sub_resolution_eps(capsys):
 def test_ode_table_refuses_unfinished_path_solve(capsys, monkeypatch):
     from semirandom.ode import systems
 
-    solve_ham = systems.solve_ham
-
-    def out_of_budget(k, x_stop, cfg=None):
-        # what solve_ham reports when the path fraction misses x_stop by s = 3
-        return dataclasses.replace(solve_ham(k, x_stop, cfg), status="budget", constant=3.0)
-
-    monkeypatch.setattr(systems, "solve_ham", out_of_budget)
+    # the k = 1 path constant is 1.87, so a budget of 1.0 misses x_stop
+    monkeypatch.setattr(systems, "HAM_S_BUDGET", 1.0)
     code, out, err = run_cli(capsys, "ode-table", "--property", "ham", "--k-range", "1..1")
     assert code == 2
     assert out == ""
@@ -154,6 +148,26 @@ def test_compare_reports_gap(capsys):
     payload = json.loads(out)
     assert payload["sup_distance"] < 0.05
     assert abs(payload["solved_constant"] - math.log(2.0)) < 1e-8
+
+
+def test_compare_accepts_a_coarse_matching_threshold(capsys):
+    code, out, _ = run_cli(
+        capsys, "compare", "--property", "pm", "--n", "2000", "--k", "1",
+        "--threshold", "0.5", "--threads", "1",
+    )
+    assert code == 0
+    assert 0.25 <= json.loads(out)["solved_constant"] < 0.5
+
+
+def test_compare_rejects_sub_resolution_eps_before_simulating(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "compare", "--property", "pm", "--n", "100000", "--k", "1",
+        "--trials", "4", "--threshold", "1e-16", "--threads", "1",
+    )
+    assert code == 1
+    assert "eps" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dominance_runs(capsys):

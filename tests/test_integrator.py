@@ -17,7 +17,7 @@ def test_exponential_decay_event_at_half():
     system = OdeSystem(
         dim=1,
         drift=lambda s, y: [-y[0]],
-        events=(Event(lambda s, y: y[0] - 0.5, direction=-1),),
+        event=Event(lambda s, y: y[0] - 0.5, direction=-1),
     )
     res = integrate(system, IntegratorConfig(), [1.0], s_budget=2.0)
     assert res.status == "event"
@@ -29,7 +29,7 @@ def test_linear_growth_event_at_two():
     system = OdeSystem(
         dim=1,
         drift=lambda s, y: [1.0],
-        events=(Event(lambda s, y: y[0] - 2.0, direction=1),),
+        event=Event(lambda s, y: y[0] - 2.0, direction=1),
     )
     res = integrate(system, IntegratorConfig(), [0.0], s_budget=5.0)
     assert res.status == "event"

@@ -120,7 +120,6 @@ def test_monotonicity_in_l_and_k():
 def test_pm_constant_and_trajectory():
     sol = solve_pm(1)
     assert abs(sol.constant - 1.27695) < 5e-4
-    assert sol.warnings  # the endgame slope is tiny by design
     xs = sol.coordinate("x")
     assert xs[0] == 0.0 and xs[-1] > 0.99
     rs = sol.coordinate("r")
@@ -138,6 +137,18 @@ def test_ham_constants():
     assert abs(sol.constant - 1.87230) < 5e-4
     sol = solve_ham(2)
     assert abs(sol.constant - 1.39618) < 5e-4
+
+
+def test_coarse_thresholds_respect_their_own_trivial_bounds():
+    # a round saturates at most two vertices and plays one edge, so the
+    # bounds are (1 - eps) / 2 and x_stop, not their limits 0.5 and 1.0
+    for solver, args, bound in (
+        (solve_pm, (1, 0.5), 0.25),
+        (solve_ham, (10, 0.8), 0.8),
+        (solve_ham, (1, 0.5), 0.5),
+    ):
+        sol = solver(*args)
+        assert bound <= sol.constant < 1.0, (solver.__name__, args)
 
 
 def test_tolerance_robustness():
