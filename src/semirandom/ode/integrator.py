@@ -51,8 +51,10 @@ class IntegratorConfig:
     max_steps: int = 2_000_000
 
     def validated(self) -> "IntegratorConfig":
-        if min(self.rtol, self.max_step) <= 0:
+        if not (self.rtol > 0 and self.max_step > 0):
             raise ValueError("tolerances and step bounds must be positive")
+        if self.dense_step and not 0 < self.dense_step < math.inf or self.max_steps < 1:
+            raise ValueError("need a finite dense_step >= 0 (0 or None: no grid), max_steps >= 1")
         return self
 
 

@@ -59,13 +59,13 @@ class DegreeBuckets:
 
     ``_lists[d]`` holds the degree-d vertices in packed order and ``pos[v]``
     is v's slot there; ``move`` fills the leaving slot with the list's tail
-    and appends to the new list, so ``sample`` draws by index in O(1).
+    and appends to the new list, so a class member is drawn by index in O(1).
 
     Degrees only grow, so ``min_nonempty`` and ``max_nonempty`` advance
     monotonically and, while the minimum degree m holds, its class only
     shrinks.  Cursor invariant: no vertex of degree m lies below ``_lo``.
-    ``lowest(m)`` scans vertex ids upward from ``_lo`` and ``_lo`` restarts
-    at 1 when m advances, which costs O(n) per degree level.
+    The lowest one is found by scanning vertex ids upward from ``_lo``, and
+    ``_lo`` restarts at 1 when m advances, which costs O(n) per degree level.
     """
 
     __slots__ = ("n", "degree", "pos", "_lists", "_lo", "min_nonempty", "max_nonempty")
@@ -113,34 +113,6 @@ class DegreeBuckets:
 
     def count(self, d: int) -> int:
         return len(self._lists[d]) if 0 <= d < len(self._lists) else 0
-
-    def lowest(self, d: int, exclude: int | None = None) -> int:
-        """Lowest-index vertex of degree d, preferring one != exclude.
-
-        Falls back to ``exclude`` itself when it is the only such vertex.
-        The minimum class is read through the cursor; any other class (only
-        the maximum-degree baseline asks, and its class is tiny) by a scan.
-        """
-        if d != self.min_nonempty:
-            lst = self._lists[d]
-            if exclude is None or len(lst) == 1:
-                return min(lst)
-            return min(v for v in lst if v != exclude)
-        deg = self.degree
-        lo = self._lo
-        while deg[lo] != d:
-            lo += 1
-        self._lo = lo
-        if lo != exclude or len(self._lists[d]) == 1:
-            return lo
-        lo += 1
-        while deg[lo] != d:
-            lo += 1
-        return lo
-
-    def sample(self, d: int, rng) -> int:
-        lst = self._lists[d]
-        return lst[rng.integers(len(lst))]
 
     def validate(self) -> None:
         """Full O(n) rescan; raises AssertionError on any inconsistency."""

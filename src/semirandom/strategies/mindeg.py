@@ -1,10 +1,17 @@
 """Greedy minimum-degree strategy and its variants.
 
-The greedy step selects an offered square of minimum degree and places the
+The greedy round selects an offered square of minimum degree and places the
 circle on a minimum-degree vertex.  Baseline circle rules (uniform over all
 vertices, or the maximum-degree vertex) are provided for dominance
 experiments, and a two-phase sequential-circles algorithm plus the
 single-purpose greedy routines cover the large-parameter regimes.
+
+Every min-degree round, the one-round steps' included, is played by one
+kernel, ``_play_block``, with the degree state in locals, until the minimum
+degree rises or the caller's budget (next sample or check, or block end)
+runs out.  It makes round-by-round play's ``rng.integers`` calls in order,
+refills blocks only where ``next_round`` would, and dispatches on the
+strategy name, not on the ``MIN_DEGREE_STRATEGIES`` entry a profiler wraps.
 """
 
 from __future__ import annotations
@@ -20,13 +27,14 @@ from ..process import (
     TIE_LOWEST,
     TIE_UNIFORM,
     LOOP_COUNTS_ONE,
-    add_edge,
+    LOOP_COUNTS_TWO,
+    add_edge,  # noqa: F401 - nothing here calls it; the benchmark's tracer rebinds it
     init_state,
     state_from_degrees,
 )
 from ..indexed import IndexedSet
-from ..rng import SquareSource, trial_streams
-from .common import StepOutcome, play, trial_source
+from ..rng import SQUARE_BLOCK_CAP, SquareSource, trial_streams
+from .common import StepOutcome, trial_source
 
 
 def select_square_index(degree: list[int], squares: list[int], policy: str, rng) -> int:
@@ -51,43 +59,111 @@ def select_square_index(degree: list[int], squares: list[int], policy: str, rng)
     return best
 
 
-def _place_circle(state: GraphState, u: int, rng) -> int:
-    b = state.buckets
-    d = b.min_nonempty
-    policy = state.config.tie_break
-    if policy == TIE_AVOID:
-        return b.lowest(d, exclude=u)
-    if policy == TIE_LOWEST:
-        return b.lowest(d)
-    return b.sample(d, rng)
+def _play_block(state: GraphState, strategy: str, buf: list[int], i: int, end: int, k: int,
+                rng) -> tuple[int, int, int]:
+    """The round kernel: play ``strategy`` off ``buf[i:end]`` (k offers a round) until
+    the minimum degree rises; return (position, last square's offset, last circle).
+    """
+    cfg = state.config
+    n, debug = cfg.n, cfg.debug
+    loop_inc = 2 if cfg.loop_degree == LOOP_COUNTS_TWO else 1
+    uniform_square = cfg.square_tie_break == TIE_UNIFORM
+    circle = cfg.tie_break if strategy == "s0" else strategy
+    deg, b = state.degree, state.buckets
+    lists, pos, m, mx, lo = b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo
+    mins = lists[m]  # only shrinks until the minimum degree rises
+    start = i
+    j = v = 0
+    while i < end:
+        # square: the first minimum-degree offer, or a uniform one among them
+        j = i
+        if uniform_square:
+            j += select_square_index(deg, buf[i : i + k], TIE_UNIFORM, rng)
+        elif k > 1:
+            du = deg[buf[i]]
+            for jj in range(i + 1, i + k):
+                d = deg[buf[jj]]
+                if d < du:
+                    du, j = d, jj
+        u = buf[j]
+        i += k
+        # circle: the lowest minimum-degree vertex (off the square under TIE_AVOID while
+        # another exists), a uniform one, a uniform vertex, or the lowest maximum-degree one
+        if circle in (TIE_AVOID, TIE_LOWEST) or mx == m and circle == "max_degree_circle":
+            while deg[lo] != m:
+                lo += 1
+            v = lo
+            if v == u and circle == TIE_AVOID and len(mins) > 1:
+                v += 1
+                while deg[v] != m:
+                    v += 1
+        elif circle == TIE_UNIFORM:
+            v = mins[rng.integers(len(mins))]
+        elif circle == "uniform_circle":
+            v = int(rng.integers(1, n + 1))
+        else:
+            v = min(lists[mx])
+        assert not debug or 1 <= u <= n and 1 <= v <= n
+        # edge uv: u, then v, moves up to the tail of its next degree list
+        inc = loop_inc if u == v else 1
+        x = u
+        while True:
+            d = deg[x]
+            new = deg[x] = d + inc
+            left = lists[d]
+            last = left.pop()
+            if last != x:
+                left[pos[x]] = last
+                pos[last] = pos[x]
+            if new > mx:
+                mx = new
+                while len(lists) <= new:
+                    lists.append([])
+            dest = lists[new]
+            pos[x] = len(dest)
+            dest.append(x)
+            if x == v:
+                break
+            x = v
+        if not mins:
+            m += 1
+            while not lists[m]:
+                m += 1
+            b.min_nonempty = m
+            lo = 1
+            break
+    b._lo, b.max_nonempty = lo, mx
+    state.t += (i - start) // k
+    return i, j, v
+
+
+def play_rounds(state: GraphState, strategy: str, src: SquareSource, rng, rounds: int) -> None:
+    """Play at most ``rounds`` rounds off ``src``, refilling a used-up block first."""
+    buf, i, k = src._buf, src._i, src.k
+    if i >= len(buf):
+        buf = src._refill()
+        i = 0
+    src._i = _play_block(state, strategy, buf, i, min(len(buf), i + rounds * k), k, rng)[0]
+
+
+def _one_round(state: GraphState, squares: list[int], rng, strategy: str, case: str):
+    _, j, v = _play_block(state, strategy, squares, 0, len(squares), len(squares), rng)
+    return StepOutcome(case, j + 1, squares[j], v, True)
 
 
 def mindeg_step(state: GraphState, squares: list[int], rng) -> StepOutcome:
     """One greedy round: minimum-degree square, circle on a minimum-degree vertex."""
-    i = select_square_index(state.degree, squares, state.config.square_tie_break, rng)
-    u = squares[i]
-    v = _place_circle(state, u, rng)
-    add_edge(state, u, v)
-    return StepOutcome("greedy", i + 1, u, v, True)
+    return _one_round(state, squares, rng, "s0", "greedy")
 
 
 def uniform_circle_step(state: GraphState, squares: list[int], rng) -> StepOutcome:
     """Baseline: same square rule, circle uniform over all vertices."""
-    i = select_square_index(state.degree, squares, state.config.square_tie_break, rng)
-    u = squares[i]
-    v = int(rng.integers(1, state.config.n + 1))
-    add_edge(state, u, v)
-    return StepOutcome("uniform", i + 1, u, v, True)
+    return _one_round(state, squares, rng, "uniform_circle", "uniform")
 
 
 def max_degree_circle_step(state: GraphState, squares: list[int], rng) -> StepOutcome:
     """Baseline: same square rule, circle on a maximum-degree vertex."""
-    i = select_square_index(state.degree, squares, state.config.square_tie_break, rng)
-    u = squares[i]
-    b = state.buckets
-    v = b.lowest(b.max_nonempty)
-    add_edge(state, u, v)
-    return StepOutcome("max_degree", i + 1, u, v, True)
+    return _one_round(state, squares, rng, "max_degree_circle", "max_degree")
 
 
 MIN_DEGREE_STRATEGIES = {
@@ -177,10 +253,13 @@ def run_min_degree(
     periodically and at termination (debug runs).  ``streams`` overrides the
     default (seed, trial_index)-derived generator pair, letting mass
     experiments amortize generator construction.
+    The round kernel plays the rounds between phase ends, samples and checks,
+    so each is recorded at the round where round-by-round play records it.
     """
     if l < 1:
         raise ValueError("target minimum degree must be >= 1")
-    step = MIN_DEGREE_STRATEGIES[strategy]
+    if strategy not in MIN_DEGREE_STRATEGIES:
+        raise ValueError(f"unknown min-degree strategy {strategy!r}")
     state = init_state(config)
     src, rng_ch = trial_source(config, trial_index, streams)
     phase_ends = [0] * l
@@ -188,22 +267,28 @@ def run_min_degree(
     buckets = state.buckets
     reached = 0
 
-    def done() -> bool:
-        nonlocal reached
-        md = buckets.min_nonempty
-        if md > reached:
-            for qq in range(reached, min(md, l)):
-                phase_ends[qq] = state.t
-            reached = md
-        return md >= l
-
     def observe(t: int) -> None:
         samples.append((t, *(buckets.count(d) for d in range(l))))
 
     if sample_stride:
         observe(0)
-    play(step, state, src, rng_ch, done, observe=observe, every=sample_stride,
-         check=state.validate, check_every=validate_every)
+    while True:
+        md = buckets.min_nonempty
+        if md > reached:
+            phase_ends[reached : min(md, l)] = [state.t] * (min(md, l) - reached)
+            reached = md
+            if md >= l:
+                break
+        t = state.t
+        budget = sample_stride - t % sample_stride if sample_stride else SQUARE_BLOCK_CAP
+        if validate_every:
+            budget = min(budget, validate_every - t % validate_every)
+        play_rounds(state, strategy, src, rng_ch, budget)
+        t = state.t
+        if sample_stride and t % sample_stride == 0:
+            observe(t)
+        if validate_every and t % validate_every == 0:
+            state.validate()
     if validate_every:
         state.validate()
     return MinDegreeTrace(config.n, config.k, l, state.t, phase_ends, samples)
@@ -246,8 +331,9 @@ def two_phase_mindeg(config: ProcessConfig, l: int, trial_index: int = 0) -> Two
             deg -= np.bincount(loop_vertices, minlength=n + 1)
     state = state_from_degrees(config, deg.tolist(), t=m)
     src = SquareSource(n, config.k, rng_sq)
-    total = play(mindeg_step, state, src, rng_ch, lambda: state.buckets.min_nonempty >= l, t=m)
-    return TwoPhaseTrace(total, m, total - m)
+    while state.buckets.min_nonempty < l:
+        play_rounds(state, "s0", src, rng_ch, SQUARE_BLOCK_CAP)
+    return TwoPhaseTrace(state.t, m, state.t - m)
 
 
 def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:

@@ -10,6 +10,7 @@ from semirandom.ode import (
     IntegratorConfig,
     OdeSystem,
     integrate,
+    solve_min_degree,
 )
 
 
@@ -86,6 +87,21 @@ def test_rejects_bad_config_and_dimension():
     system = OdeSystem(dim=2, drift=lambda s, y: [1.0, 1.0])
     with pytest.raises(ValueError):
         integrate(system, IntegratorConfig(), [0.0], s_budget=1.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"dense_step": -1e-3}, {"dense_step": math.inf}, {"dense_step": math.nan},
+            {"max_steps": 0}, {"rtol": math.nan}],
+)
+def test_bad_config_fails_fast(bad):
+    # a negative grid step used to send the dense-output loop backwards forever
+    with pytest.raises(ValueError):
+        solve_min_degree(1, 1, IntegratorConfig(**bad))
+
+
+def test_no_grid_settings_are_accepted():
+    for grid in (None, 0, 0.0):
+        assert IntegratorConfig(dense_step=grid).validated().dense_step == grid
 
 
 def test_two_dimensional_oscillator_accuracy():

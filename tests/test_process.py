@@ -159,28 +159,7 @@ def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
             members = [w for w in range(1, n + 1) if state.degree[w] == d]
             assert b.count(d) == len(members)
             assert b._lists[d] == list(ref[d]) if d in ref else not members
-            if not members:
-                continue
-            # exclude: none, the lowest member (the lone one if alone), each other member
-            for exclude in (None, *members):
-                others = [w for w in members if w != exclude]
-                assert b.lowest(d, exclude) == (min(others) if others else exclude)
         b.validate()  # includes the cursor invariant
-
-
-def test_lowest_vertex_queries():
-    state = init_state(ProcessConfig(n=5, k=1))
-    add_edge(state, 1, 2)
-    b = state.buckets
-    assert b.lowest(0) == 3
-    assert b.lowest(0, exclude=3) == 4
-    add_edge(state, 3, 4)
-    add_edge(state, 5, 5)
-    # all vertices now have degree >= 1; vertex 5 carries the loop
-    assert state.buckets.min_nonempty == 1
-    assert b.lowest(1) == 1
-    assert b.lowest(2) == 5
-    assert b.lowest(2, exclude=5) == 5  # alone in its bucket
 
 
 def test_state_from_degrees_matches_incremental():
