@@ -2,7 +2,7 @@
 
 Subcommands: ``ode-table`` (constant grids), ``simulate`` (Monte Carlo
 trials), ``compare`` (simulation vs solved trajectory), ``oracle`` (exact
-tiny-instance expectations), ``dominance`` (paired strategy comparison).
+small-instance expectations), ``dominance`` (paired strategy comparison).
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
 """
 
@@ -119,7 +119,7 @@ def build_parser() -> _Parser:
     c.add_argument("--threshold", type=float, default=None)
     _add_common(c)
 
-    o = sub.add_parser("oracle", help="exact tiny-instance expectation")
+    o = sub.add_parser("oracle", help="exact small-instance expectation")
     o.add_argument("--property", required=True)
     o.add_argument("--n", type=int, required=True)
     o.add_argument("--k", type=int, required=True)

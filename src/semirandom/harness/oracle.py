@@ -1,34 +1,37 @@
-"""Exact hitting-time oracle for tiny instances.
+"""Exact hitting-time oracle for small instances, on lumped chains.
 
-Ground truth for the simulator's step functions, computed with exact
-rational arithmetic.  The minimum-degree oracle walks the full capped
-degree-vector space forward.  Each state's successor law is built once,
-by enumerating every ordered square tuple and mirroring the simulator's
-tie-break policies, as integer weights over one per-round denominator
-D = n^k * lcm(1..k) * lcm(1..n); the frontier masses after t rounds are
-integers over D^t, and only the absorbed mass of each round becomes a
-``Fraction``.  The matching oracle reduces the state to (unsaturated
-count, multiset of pending-edge counts per unsaturated vertex), which the
-uniform circle placement makes exchangeable, and solves the linear
-hitting-time system exactly.
+Ground truth for the simulator's step functions, in exact rationals.  The
+law of each next state depends on the vertex-level state only through a few
+counts, so those counts form a Markov chain with the same hitting-time law
+(Kemeny & Snell, *Finite Markov Chains*, 1960, on lumpability).
+
+Minimum degree: the state is the count vector (c_0, ..., c_l) of capped
+degrees.  With A_j vertices of class >= j, the square is of class j with
+probability (A_j^k - A_{j+1}^k) / n^k, uniform within its class under either
+square tie policy, since a class's vertices are exchangeable (a square of
+class l, picked by uncapped degree, stays in class l either way).  The circle
+goes to the minimum class m, so it hits the square only if the square is of
+class m: under ``TIE_AVOID`` exactly when c_m = 1, otherwise with
+probability 1 / c_m.  The capped degree sum rises every round, so the law
+ends by round n * l.  Bounds: n <= 40, n^k <= 100 000 (the square weights),
+C(n + l, l) <= 50 000 count states and n * l <= 400 rounds (which set the
+size of the masses).
+
+Perfect matching (n <= 8): the state is (unsaturated count, sorted
+pending-edge counts per unsaturated vertex), exchangeable under the uniform
+circle.  The chain is acyclic apart from self-loops, so the expectation is
+a back-substitution; the law's support is unbounded, so it is cut once the
+live mass falls below 1e-12.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..process import (
-    LOOP_COUNTS_TWO,
-    TIE_AVOID,
-    TIE_LOWEST,
-    TIE_UNIFORM,
-)
-
-MAX_TUPLE_ENUMERATION = 100_000
-MAX_STATE_TUPLES = 2_000_000
+from ..process import LOOP_COUNTS_TWO, TIE_AVOID, TIE_LOWEST, ProcessConfig
 
 
 @dataclass
@@ -58,15 +61,18 @@ def exact_small_oracle(
     loop_degree: str = LOOP_COUNTS_TWO,
     horizon: int | None = None,
 ) -> OracleResult:
-    """Exact E[rounds] and hitting-time law for a tiny instance.
+    """Exact E[rounds] and hitting-time law for a small instance.
 
-    ``target`` is "min_degree" (with ``l``) or "perfect_matching".  Sizes
-    that would blow up the enumeration are rejected.
+    ``target`` is "min_degree" (with ``l``) or "perfect_matching".  The
+    degree target runs on the capped count vector (c_0, ..., c_l): the
+    vertices of a class are exchangeable and the circle hits the square with
+    a probability set by the counts alone, so the counts carry greedy's law
+    exactly under every policy (see the module docstring).  It takes
+    n <= 40, n^k <= 100 000, C(n + l, l) <= 50 000 and n * l <= 400; the
+    matching target takes n <= 8.  Larger sizes are rejected before any work.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be >= 1")
-    if n > 8:
-        raise ValueError("oracle supports n <= 8 only")
     if target == "min_degree":
         return _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree)
     if target == "perfect_matching":
@@ -77,92 +83,86 @@ def exact_small_oracle(
     )
 
 
+def _forward_law(start, step, absorbed, cap, tiny=0):
+    """Law of the absorption round, walked forward in exact masses.
+
+    Stops after ``cap`` rounds or once the live mass is below ``tiny``;
+    returns the law and the live mass left.
+    """
+    frontier = {start: Fraction(1)}
+    law: dict[int, Fraction] = {}
+    t = 0
+    while frontier and t < cap:
+        t += 1
+        nxt: dict = {}
+        hit = Fraction(0)
+        for state, mass in frontier.items():
+            for succ, p in step(state).items():
+                if absorbed(succ):
+                    hit += mass * p
+                else:
+                    nxt[succ] = nxt.get(succ, 0) + mass * p
+        if hit:
+            law[t] = hit
+        frontier = nxt
+        if tiny and sum(frontier.values(), Fraction(0)) < tiny:
+            break
+    return law, sum(frontier.values(), Fraction(0))
+
+
 # ---------------------------------------------------------------- min degree
 
 
 def _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree):
     if l < 1:
         raise ValueError("target minimum degree must be >= 1")
-    if n**k > MAX_TUPLE_ENUMERATION:
-        raise ValueError(f"square enumeration n^k = {n**k} is intractable")
-    if n**k * (l + 1) ** n > MAX_STATE_TUPLES:
-        raise ValueError("state space is intractable for exact enumeration")
-    if tie_break not in (TIE_LOWEST, TIE_AVOID, TIE_UNIFORM):
-        raise ValueError(f"unknown circle tie-break {tie_break!r}")
-    if square_tie_break not in (TIE_LOWEST, TIE_UNIFORM):
-        raise ValueError(f"unknown square tie-break {square_tie_break!r}")
-    tuples = list(itertools.product(range(n), repeat=k))
-    # a uniform square tie-break splits a tuple among at most k offers and a
-    # uniform circle splits among at most n vertices, so every transition
-    # probability is an integer over one denominator
-    square_unit = math.lcm(*range(1, k + 1))
-    circle_unit = math.lcm(*range(1, n + 1))
-    denom = n**k * square_unit * circle_unit
+    # 2^17 > 100 000, so a huge k is refused before n^k is formed
+    too_big = n > 40 or (n > 1 and (k >= 17 or n**k > 100_000)) or n * l > 400
+    if too_big or math.comb(n + l, l) > 50_000:
+        raise ValueError(
+            f"degree oracle needs n <= 40, n^k <= 100000, C(n + l, l) <= 50000 "
+            f"and n * l <= 400; got n={n}, k={k}, l={l}"
+        )
+    ProcessConfig(
+        n, k, tie_break=tie_break, square_tie_break=square_tie_break, loop_degree=loop_degree
+    ).validate()
     loop_inc = 2 if loop_degree == LOOP_COUNTS_TWO else 1
+    avoid = tie_break == TIE_AVOID
 
-    def successors(degs: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-        """Successor law of one state, summed over all n^k square tuples."""
-        square_weight = [0] * n
-        for tup in tuples:
-            smin = min(degs[s] for s in tup)
-            offers = [s for s in tup if degs[s] == smin]
-            if square_tie_break == TIE_LOWEST:
-                square_weight[offers[0]] += square_unit
-            else:
-                share = square_unit // len(offers)
-                for u in offers:
-                    square_weight[u] += share
-        dmin = min(degs)
-        bucket = [v for v in range(n) if degs[v] == dmin]
-        law: dict[tuple[int, ...], int] = {}
-        for u, wu in enumerate(square_weight):
-            if not wu:
+    @functools.cache  # a state can be reached in several rounds
+    def step(counts: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+        law: dict[tuple[int, ...], Fraction] = {}
+
+        def put(p, *moves):
+            if p:
+                nc = list(counts)
+                for j, inc in moves:
+                    nc[j] -= 1
+                    nc[min(l, j + inc)] += 1
+                nc = tuple(nc)
+                law[nc] = law.get(nc, 0) + p
+
+        m = next(j for j, c in enumerate(counts) if c)
+        at_least = n  # A_j
+        for j in range(m, l + 1):
+            c = counts[j]
+            if not c:
                 continue
-            if tie_break == TIE_LOWEST:
-                circles = [(circle_unit, bucket[0])]
-            elif tie_break == TIE_AVOID:
-                others = [v for v in bucket if v != u]
-                circles = [(circle_unit, others[0] if others else u)]
+            square = Fraction(at_least**k - (at_least - c) ** k, n**k)
+            at_least -= c
+            if j > m:
+                put(square, (j, 1), (m, 1))
             else:
-                share = circle_unit // len(bucket)
-                circles = [(share, v) for v in bucket]
-            for wv, v in circles:
-                nd = list(degs)
-                if u == v:
-                    nd[u] = min(l, nd[u] + loop_inc)
-                else:
-                    nd[u] = min(l, nd[u] + 1)
-                    nd[v] = min(l, nd[v] + 1)
-                ns = tuple(nd)
-                law[ns] = law.get(ns, 0) + wu * wv
+                hit = Fraction(c == 1) if avoid else Fraction(1, c)
+                put(square * hit, (m, loop_inc))
+                put(square * (1 - hit), (m, 1), (m, 1))
         return law
 
-    # frontier masses after t rounds are integers over denom**t
-    frontier: dict[tuple[int, ...], int] = {(0,) * n: 1}
-    distribution: dict[int, Fraction] = {}
-    scale = 1
-    t = 0
-    max_rounds = n * l + 1  # the circle raises the capped degree sum every round
-    while frontier:
-        t += 1
-        if t > max_rounds:
-            raise AssertionError("minimum-degree oracle failed to absorb in time")
-        scale *= denom
-        nxt: dict[tuple[int, ...], int] = {}
-        absorbed = 0
-        # the capped degree sum rises every round, so no state recurs and
-        # each successor law is computed once
-        for degs, mass in frontier.items():
-            for ns, w in successors(degs).items():
-                if min(ns) >= l:
-                    absorbed += mass * w
-                else:
-                    nxt[ns] = nxt.get(ns, 0) + mass * w
-        if absorbed:
-            distribution[t] = Fraction(absorbed, scale)
-        frontier = nxt
-    expectation = sum((Fraction(t) * p for t, p in distribution.items()), Fraction(0))
-    return OracleResult("min_degree", n, k, expectation, distribution, Fraction(0))
+    law, tail = _forward_law((n,) + (0,) * l, step, lambda c: c[l] == n, n * l)
+    if tail:
+        raise AssertionError("minimum-degree oracle failed to absorb in time")
+    expectation = sum((Fraction(t) * p for t, p in law.items()), Fraction(0))
+    return OracleResult("min_degree", n, k, expectation, law, Fraction(0))
 
 
 # ----------------------------------------------------------- perfect matching
@@ -229,73 +229,29 @@ def _pm_transitions(n: int, k: int, state):
 
 
 def _pm_oracle(n, k, horizon):
+    if n > 8:
+        raise ValueError("matching oracle supports n <= 8 only")
     if n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    start = (n, (0,) * n)
-    # discover the reachable chain
-    reach = [start]
-    seen = {start}
-    trans: dict[tuple, dict[tuple, Fraction]] = {}
-    i = 0
-    while i < len(reach):
-        st = reach[i]
-        i += 1
+    trans = functools.cache(lambda st: _pm_transitions(n, k, st))
+
+    @functools.cache
+    def expected(st) -> Fraction:
+        # E(s) = (1 + sum_{s' != s} P(s -> s') E(s')) / (1 - P(s -> s));
+        # every other successor has fewer unsaturated vertices or more
+        # pending edges, so the recursion ends
         if st[0] == 0:
-            continue
-        tr = _pm_transitions(n, k, st)
-        trans[st] = tr
-        for ns in tr:
-            if ns not in seen:
-                seen.add(ns)
-                reach.append(ns)
-    live = [st for st in reach if st[0] > 0]
-    index = {st: j for j, st in enumerate(live)}
-    m = len(live)
-    # E[st] = 1 + sum_ns P(st->ns) E[ns]; absorbing states have E = 0
-    aug = [[Fraction(0)] * (m + 1) for _ in range(m)]
-    for st, j in index.items():
-        aug[j][j] = Fraction(1)
-        aug[j][m] = Fraction(1)
-        for ns, p in trans[st].items():
-            if ns[0] > 0:
-                aug[j][index[ns]] -= p
-    _solve_inplace(aug)
-    expectation = aug[index[start]][m]
+            return Fraction(0)
+        stay = Fraction(0)
+        acc = Fraction(1)
+        for ns, p in trans(st).items():
+            if ns == st:
+                stay = p
+            else:
+                acc += p * expected(ns)
+        return acc / (1 - stay)
 
-    # forward law, truncated once the leftover mass is negligible
+    start = (n, (0,) * n)
     cap = horizon if horizon is not None else 40 * n * max(1, k)
-    frontier = {start: Fraction(1)}
-    distribution: dict[int, Fraction] = {}
-    t = 0
-    tiny = Fraction(1, 10**12)
-    while frontier and t < cap:
-        t += 1
-        nxt: dict[tuple, Fraction] = {}
-        for st, p in frontier.items():
-            for ns, q in trans[st].items():
-                mass = p * q
-                if ns[0] == 0:
-                    distribution[t] = distribution.get(t, Fraction(0)) + mass
-                else:
-                    nxt[ns] = nxt.get(ns, Fraction(0)) + mass
-        frontier = nxt
-        if sum(frontier.values(), Fraction(0)) < tiny:
-            break
-    tail = sum(frontier.values(), Fraction(0))
-    return OracleResult("perfect_matching", n, k, expectation, distribution, tail)
-
-
-def _solve_inplace(aug: list[list[Fraction]]) -> None:
-    """Gaussian elimination with exact rationals; aug is m x (m+1)."""
-    m = len(aug)
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise AssertionError("singular hitting-time system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    law, tail = _forward_law(start, trans, lambda st: st[0] == 0, cap, Fraction(1, 10**12))
+    return OracleResult("perfect_matching", n, k, expected(start), law, tail)

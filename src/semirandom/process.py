@@ -115,19 +115,20 @@ class DegreeBuckets:
         return len(self._lists[d]) if 0 <= d < len(self._lists) else 0
 
     def validate(self) -> None:
-        """Full O(n) rescan; raises AssertionError on any inconsistency."""
-        seen = 0
-        for d, lst in enumerate(self._lists):
-            for i, v in enumerate(lst):
-                assert self.degree[v] == d, f"vertex {v} in bucket {d}, degree {self.degree[v]}"
-                assert self.pos[v] == i, f"vertex {v} at slot {i}, pos {self.pos[v]}"
-            seen += len(lst)
+        """O(n) rescan; raises AssertionError on any inconsistency.
+
+        Each vertex sits at its ``pos`` slot of its degree's list, and the
+        lists hold n entries in all, so they hold nothing else.
+        """
+        lists, degree, pos = self._lists, self.degree, self.pos
+        seen = sum(map(len, lists))
         assert seen == self.n, f"buckets cover {seen} vertices, expected {self.n}"
-        nonempty = [d for d, lst in enumerate(self._lists) if lst]
-        assert self.min_nonempty == min(nonempty)
-        assert self.max_nonempty >= max(nonempty)
-        m = self.min_nonempty
-        assert m not in self.degree[1 : self._lo], "minimum-degree vertex below the cursor"
+        for v in range(1, self.n + 1):
+            d, i = degree[v], pos[v]
+            assert d < len(lists) and 0 <= i < len(lists[d]) and lists[d][i] == v, (v, d, i)
+        assert self.min_nonempty == min(degree[1:]), "stale minimum degree"
+        assert self.max_nonempty >= max(degree[1:]), "stale maximum degree"
+        assert self.min_nonempty not in degree[1 : self._lo], "minimum vertex below the cursor"
 
 
 class GraphState:

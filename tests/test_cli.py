@@ -91,6 +91,15 @@ def test_oracle_rejects_cycle_target(capsys):
     assert "oracle" in err
 
 
+def test_oracle_bounds_the_degree_target_at_n_40(capsys):
+    code, _, err = run_cli(capsys, "oracle", "--property", "mindeg2", "--n", "41", "--k", "2")
+    assert code == 1
+    assert "invalid arguments" in err
+    code, out, _ = run_cli(capsys, "oracle", "--property", "mindeg2", "--n", "20", "--k", "2")
+    assert code == 0
+    assert float(out) > 20
+
+
 def test_simulate_validation_failure(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--property", "mindeg1", "--n", "0", "--k", "1"

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -64,14 +65,33 @@ def test_matching_law_sums_to_one():
 
 
 def test_rejects_intractable_or_unknown_targets():
+    for n, k, target, l in [
+        (41, 1, "min_degree", 1),  # past n <= 40
+        (20, 4, "min_degree", 1),  # n^k = 160 000
+        (2, 10**6, "min_degree", 1),  # n^k refused before it is formed
+        (30, 1, "min_degree", 5),  # C(35, 5) = 324 632 count states
+        (2, 1, "min_degree", 201),  # a law over 402 rounds
+        (3, 1, "min_degree", 10**9),
+        (4, 1, "min_degree", 0),
+        (10, 1, "perfect_matching", 1),  # past n <= 8
+        (3, 1, "perfect_matching", 1),
+        (4, 1, "hamilton_cycle", 1),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError):
+            exact_small_oracle(n, k, target, l)
+        assert time.perf_counter() - start < 1.0, (n, k, target, l)
     with pytest.raises(ValueError):
-        exact_small_oracle(9, 1, "min_degree", l=1)
-    with pytest.raises(ValueError):
-        exact_small_oracle(8, 8, "min_degree", l=1)
-    with pytest.raises(ValueError):
-        exact_small_oracle(3, 1, "perfect_matching")
-    with pytest.raises(ValueError):
-        exact_small_oracle(4, 1, "hamilton_cycle")
+        exact_small_oracle(4, 1, "min_degree", 1, loop_degree="counts_three")
+
+
+def test_count_chain_reaches_past_the_vertex_bound():
+    start = time.perf_counter()
+    res = exact_small_oracle(20, 2, "min_degree", 2)
+    assert time.perf_counter() - start < 1.0
+    assert sum(res.distribution.values()) == 1
+    # each round raises the capped degree sum by at least 1 and at most 2
+    assert min(res.distribution) >= 20 and max(res.distribution) <= 40
 
 
 @pytest.mark.parametrize(
@@ -194,12 +214,36 @@ LAW_PINS = {
         "c043279318ee9c96", "936e665868436ba0", "9f3288b7249a30fc",
         "6dd448acad2b42dd", "9f3288b7249a30fc", "6dd448acad2b42dd",
     ),
+    (4, 3, 2): (
+        "18ced384c955dc3f", "1bc86b3bb25cf276", "18ced384c955dc3f",
+        "1bc86b3bb25cf276", "890cbb6dde8c905f", "36a9e9a368c11757",
+        "890cbb6dde8c905f", "36a9e9a368c11757", "18ced384c955dc3f",
+        "1bc86b3bb25cf276", "18ced384c955dc3f", "1bc86b3bb25cf276",
+    ),
+    (5, 3, 1): (
+        "64fb8c623d549da5", "64fb8c623d549da5", "64fb8c623d549da5",
+        "64fb8c623d549da5", "ba83d2650700aa02", "ba83d2650700aa02",
+        "ba83d2650700aa02", "ba83d2650700aa02", "64fb8c623d549da5",
+        "64fb8c623d549da5", "64fb8c623d549da5", "64fb8c623d549da5",
+    ),
+    (4, 2, 3): (
+        "aebd098311be5760", "fffbc66dd9f0c1c0", "aebd098311be5760",
+        "fffbc66dd9f0c1c0", "e8783397296e20d8", "dd564deb03a3db73",
+        "e8783397296e20d8", "dd564deb03a3db73", "aebd098311be5760",
+        "fffbc66dd9f0c1c0", "aebd098311be5760", "fffbc66dd9f0c1c0",
+    ),
+    (6, 1, 3): (
+        "adee21e06cadbafb", "f71aec2296b39fda", "adee21e06cadbafb",
+        "f71aec2296b39fda", "63dee83353b89461", "fb8b1113951e8c6a",
+        "63dee83353b89461", "fb8b1113951e8c6a", "adee21e06cadbafb",
+        "f71aec2296b39fda", "adee21e06cadbafb", "f71aec2296b39fda",
+    ),
 }
 
 
 def test_min_degree_laws_are_pinned():
     policies = list(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES, LOOP_POLICIES))
-    assert len(LAW_PINS) == 12
+    assert len(LAW_PINS) == 16
     for (n, k, l), pins in LAW_PINS.items():
         for (circle, square, loop), pin in zip(policies, pins, strict=True):
             res = exact_small_oracle(n, k, "min_degree", l, circle, square, loop)
@@ -208,20 +252,50 @@ def test_min_degree_laws_are_pinned():
             assert got == pin, (n, k, l, circle, square, loop)
 
 
+# sha256 prefix of repr((sorted(distribution.items()), expectation, tail)) of
+# the matching target per (n, k)
+PM_PINS = {
+    (4, 1): "bab6500c5ce939ee",
+    (4, 2): "b687b1838e789e54",
+    (4, 3): "14e5556abf25cba6",
+    (6, 1): "edd4c9e80652c8fe",
+    (6, 2): "eb4b5a6571492389",
+    (6, 3): "2282e0c035d63ff3",
+    (8, 1): "8312e31c75b79913",
+    (8, 2): "3dd7a4789fb1a449",
+    (8, 3): "4df87447181847d9",
+}
+
+
+def test_matching_laws_are_pinned():
+    for (n, k), pin in PM_PINS.items():
+        res = exact_small_oracle(n, k, "perfect_matching")
+        law = repr((sorted(res.distribution.items()), res.expectation, res.tail))
+        assert hashlib.sha256(law.encode()).hexdigest()[:16] == pin, (n, k)
+
+
 LAW_TRIALS = 5000
 
 
-@pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
-def test_simulated_law_matches_oracle(k, l):
+@pytest.mark.parametrize(
+    "n,k,l",
+    [
+        pytest.param(4, 1, 1, id="1-1"),
+        pytest.param(4, 1, 2, id="1-2"),
+        pytest.param(4, 2, 1, id="2-1"),
+        pytest.param(4, 2, 2, id="2-2"),
+        pytest.param(12, 2, 2, id="n12-2-2"),
+        pytest.param(20, 2, 2, id="n20-2-2"),
+    ],
+)
+def test_simulated_law_matches_oracle(n, k, l):
     # the whole hitting-time law, not only its mean, for every circle and
     # square policy; the oracle's support bounds every simulated value
-    n = 4
     for i, (circle, square) in enumerate(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES)):
         res = exact_small_oracle(n, k, "min_degree", l, circle, square)
         support = sorted(res.distribution)
-        cfg = ProcessConfig(
-            n=n, k=k, seed=5000 + 100 * k + 10 * l + i, tie_break=circle, square_tie_break=square
-        )
+        seed = 5000 + 10_000 * (n - 4) + 100 * k + 10 * l + i
+        cfg = ProcessConfig(n=n, k=k, seed=seed, tie_break=circle, square_tie_break=square)
         counts = dict.fromkeys(support, 0)
         for trial in range(LAW_TRIALS):
             rounds = run_min_degree(cfg, l, trial_index=trial).rounds
@@ -231,3 +305,22 @@ def test_simulated_law_matches_oracle(k, l):
             [counts[t] for t in support], [float(res.distribution[t]) for t in support]
         )
         assert report.p_value > 1e-3, (circle, square, report)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("k", [1, 2])
+def test_simulated_matching_law_matches_oracle(n, k):
+    # the oracle's law is truncated where its tail drops below 1e-12, so a
+    # simulated value past its support would be a 1e-12 event
+    res = exact_small_oracle(n, k, "perfect_matching")
+    support = sorted(res.distribution)
+    cfg = ProcessConfig(n=n, k=k, seed=9000 + 10 * n + k)
+    counts = dict.fromkeys(support, 0)
+    for trial in range(LAW_TRIALS):
+        rounds = pm_run(cfg, trial_index=trial).total_rounds
+        assert rounds in counts, rounds
+        counts[rounds] += 1
+    probabilities = [float(res.distribution[t]) for t in support]
+    probabilities[-1] += float(res.tail)
+    report = chi_square_test([counts[t] for t in support], probabilities)
+    assert report.p_value > 1e-3, report

@@ -162,6 +162,33 @@ def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
         b.validate()  # includes the cursor invariant
 
 
+def _swap_first_of(b, d, e):
+    b._lists[d][0], b._lists[e][0] = b._lists[e][0], b._lists[d][0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda b: b.pos.__setitem__(1, 1), id="wrong-pos"),
+        pytest.param(lambda b: b.pos.__setitem__(1, 7), id="pos-past-list"),
+        pytest.param(lambda b: b.pos.__setitem__(1, -3), id="negative-pos"),
+        pytest.param(lambda b: _swap_first_of(b, 1, 2), id="vertex-in-wrong-list"),
+        pytest.param(lambda b: b._lists[3].append(4), id="extra-entry"),
+        pytest.param(lambda b: setattr(b, "min_nonempty", 2), id="stale-min"),
+        pytest.param(lambda b: setattr(b, "max_nonempty", 2), id="stale-max"),
+        pytest.param(lambda b: setattr(b, "_lo", 2), id="cursor-past-minimum"),
+    ],
+)
+def test_validate_catches_each_corruption(corrupt):
+    # degree-1 list [1, 3, 6], degree-2 list [2, 5], degree-3 list [4]
+    state = state_from_degrees(ProcessConfig(n=6, k=1), [0, 1, 2, 1, 3, 2, 1], t=5)
+    b = state.buckets
+    b.validate()
+    corrupt(b)
+    with pytest.raises(AssertionError):
+        b.validate()
+
+
 def test_state_from_degrees_matches_incremental():
     cfg = ProcessConfig(n=6, k=1)
     inc = init_state(cfg)
