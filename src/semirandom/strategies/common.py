@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..process import ProcessConfig
-from ..rng import ChoiceSource, SquareSource, trial_streams
+from ..rng import SQUARE_BLOCK_CAP, ChoiceSource, SquareSource, trial_streams
 
 
 class StepOutcome(NamedTuple):
@@ -39,32 +39,30 @@ def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):
     return SquareSource(config.n, config.k, rng_sq), rng_ch
 
 
-def play(step, state, src: SquareSource, rng, done, t=0, observe=None, every=0,
-         check=None, check_every=0) -> int:
-    """Play rounds ``step(state, squares, rng)`` until ``done()``; return the round count.
+def play_blocks(kernel, state, src: SquareSource, rng, cut, done, t=0, observe=None, every=0,
+                check=None, check_every=0) -> int:
+    """Play ``kernel`` rounds off ``src``'s blocks until ``done()``; return the round count.
 
-    Counting starts at ``t``.  ``observe(t)`` runs after every ``every``-th
-    round and ``check()`` after every ``check_every``-th (0 turns either off).
+    ``kernel(state, buf, i, end, k, rng, cut)`` plays the rounds of ``buf[i:end]``
+    until its stop rule, the one ``done`` tests, holds at ``cut``, and returns its
+    position first.  Counting starts at ``t``.  ``observe(t)`` runs after every
+    ``every``-th round and ``check()`` after every ``check_every``-th (0 turns
+    either off), so each call's budget ends at the next of them.  A used-up
+    block is refilled only when a round is about to be played, where
+    ``next_round`` would refill it.
     """
+    k = src.k
     while not done():
-        step(state, src.next_round(), rng)
-        t += 1
+        budget = every - t % every if every else SQUARE_BLOCK_CAP
+        if check_every:
+            budget = min(budget, check_every - t % check_every)
+        buf, i = src._buf, src._i
+        if i >= len(buf):
+            buf, i = src._refill(), 0
+        src._i = j = kernel(state, buf, i, min(len(buf), i + budget * k), k, rng, cut)[0]
+        t += (j - i) // k
         if every and t % every == 0:
             observe(t)
         if check_every and t % check_every == 0:
             check()
     return t
-
-
-def classify(rank: dict[int, int], label: list[int], squares: list[int]) -> tuple[int, int]:
-    """(best priority rank, index of the first square achieving it); rank 0 is best."""
-    best = len(rank)  # above every rank in the table
-    best_i = 0
-    for i, s in enumerate(squares):
-        r = rank[label[s]]
-        if r < best:
-            if r == 0:
-                return 0, i
-            best = r
-            best_i = i
-    return best, best_i

@@ -12,21 +12,32 @@ matched, green, permissible, (useless/red = pass).
 
 Each class lives in the label array; only the classes that are sampled or
 popped from also sit in an ``IndexedSet``, and the sizes the drift system
-reads are counters.  Cases b, c and d end in ``_settle``, which files the
-absorbed vertices (if any), uncolours the reds whose pending edge pointed
-at one of them, and refiles the vertices within path distance 2 of a change.
+reads are counters.  Every round, ``ham_step``'s included, is played by one
+kernel, ``_play_block``, straight off a ``SquareSource`` block with the
+labels, links and the sets' packed lists and position maps in locals.  It
+runs until the path reaches the stop length, the block ends or the caller's
+round budget (the next sample or check) runs out; ``play_blocks`` refills a
+used-up block only when a round is about to be played, where
+``next_round`` would.  Cases b, c and d end in one call of ``_settle``,
+which files the absorbed vertices (if any), uncolours the reds whose
+pending edge pointed at one of them, and refiles the vertices within path
+distance 2 of a change.  The set operations are written out in
+``IndexedSet``'s own order (swap the tail into the hole, pop the last
+slot), and so are the draws, because the packed orders decide every later
+sample and every vertex the padding moves pop: the runs are the ones
+round-by-round play gives.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from ..indexed import IndexedSet
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from ..process import ProcessConfig, add_edge  # noqa: F401
 from ..rng import SquareSource
-from .common import StepOutcome, classify, play, trial_source
+from .common import StepOutcome, play_blocks, trial_source
 
 OFF_UNSAT = 0
 OFF_MATCHED = 1
@@ -35,7 +46,9 @@ GREEN = 3
 USELESS = 4
 PERMISSIBLE = 5
 
-_RANK = {OFF_UNSAT: 0, OFF_MATCHED: 1, GREEN: 2, PERMISSIBLE: 3, USELESS: 4, RED: 4}
+# priority rank by label: unsaturated, matched, green, permissible, then useless and red
+_RANK = (0, 1, 4, 2, 4, 3)
+_CASE_OF_RANK = ("a", "b", "c''", "d", "e")
 
 
 class HamState:
@@ -47,7 +60,9 @@ class HamState:
     class up to twice the red count, and a useless vertex outside it is
     structural (at path distance 2 from a red).  Four counters give the sizes
     the strategy reads: ``X`` on-path vertices, ``R`` red, ``green_count``
-    green and ``useless_count`` useless, structural plus padded.
+    green and ``useless_count`` useless, structural plus padded.  Debug
+    states count every played edge (square, circle), smaller end first, in
+    ``played``: the certificate ``verify_hamiltonian_cycle`` checks.
     """
 
     __slots__ = (
@@ -69,6 +84,7 @@ class HamState:
         "green_count",
         "useless_count",
         "debug",
+        "played",
     )
 
     def __init__(self, n: int, debug: bool = False):
@@ -92,6 +108,7 @@ class HamState:
         self.green_count = 0
         self.useless_count = 0
         self.debug = debug
+        self.played = Counter() if debug else None
 
     @property
     def Y(self) -> int:
@@ -199,35 +216,11 @@ class HamState:
         assert self.useless_count == 2 * r or not self.permissible
 
 
-classify_ham = partial(classify, _RANK)
-
-
-def _near(h: HamState, v: int, out: set[int]) -> None:
-    """Collect v and its on-path neighbours up to distance 2, in walk order."""
-    if not v or h.label[v] <= OFF_MATCHED:  # 0 or off the path
-        return
-    prv = h.prv
-    nxt = h.nxt
-    add = out.add
-    add(v)
-    w = prv[v]
-    if w:
-        add(w)
-        z = prv[w]
-        if z:
-            add(z)
-        z = nxt[w]
-        if z:
-            add(z)
-    w = nxt[v]
-    if w:
-        add(w)
-        z = prv[w]
-        if z:
-            add(z)
-        z = nxt[w]
-        if z:
-            add(z)
+def classify_ham(label: list[int], squares) -> tuple[int, int]:
+    """(best priority rank, index of the first square achieving it); rank 0 is best."""
+    ranks = [_RANK[label[s]] for s in squares]
+    best = min(ranks)
+    return best, ranks.index(best)
 
 
 def _uncolour_red(h: HamState, x: int) -> None:
@@ -240,7 +233,9 @@ def _uncolour_red(h: HamState, x: int) -> None:
     h.red_target[x] = 0
     h.R -= 1
     h.label[x] = PERMISSIBLE
-    h.permissible.add(x)
+    perm = h.permissible  # permissible.add(x)
+    perm._pos[x] = len(perm._items)
+    perm._items.append(x)
 
 
 def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
@@ -254,198 +249,236 @@ def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
         h.prv[seq[i + 1]] = seq[i]
 
 
-def _reclassify(h: HamState, vertices: set[int]) -> None:
-    """Refile the on-path, non-red vertices by their distance to a red one.
-
-    GREEN next to a red, USELESS at path distance exactly 2, else
-    PERMISSIBLE; a padded useless vertex stays useless by choice.  Slot 0 is
-    a sentinel (label OFF_UNSAT, no links), so missing neighbours read as
-    not red, and the links are consistent, so the distance-2 vertices are
-    ``prv[prv[v]]`` and ``nxt[nxt[v]]``.
-
-    The iteration order of ``vertices`` is load-bearing.  It fixes the order
-    of the add and discard calls on ``permissible`` and ``padding``, and that
-    order decides which vertex ``pop_arbitrary`` returns from then on.
-    Callers pass the set that ``_near`` filled, in the order it filled it; a
-    list, a deduplicated copy or any other traversal changes the runs.
-    """
-    lab = h.label
-    prv = h.prv
-    nxt = h.nxt
-    permissible = h.permissible
-    padding = h.padding
-    n_green = h.green_count
-    n_useless = h.useless_count
-    for v in vertices:
-        L = lab[v]
-        if L <= RED:  # off the path, or red
-            continue
-        p = prv[v]
-        q = nxt[v]
-        if lab[p] == RED or lab[q] == RED:
-            if L == GREEN:
-                continue
-            if L == PERMISSIBLE:
-                permissible.discard(v)
-            else:
-                padding.discard(v)  # a no-op on a structural useless vertex
-                n_useless -= 1
-            n_green += 1
-            lab[v] = GREEN
-        elif lab[prv[p]] == RED or lab[nxt[q]] == RED:
-            if L == USELESS:
-                padding.discard(v)  # a padded vertex turns structural
-                continue
-            if L == GREEN:
-                n_green -= 1
-            else:
-                permissible.discard(v)
-            n_useless += 1
-            lab[v] = USELESS
-        else:
-            if L == PERMISSIBLE or v in padding:
-                continue  # padding stays useless by choice
-            if L == GREEN:
-                n_green -= 1
-            else:
-                n_useless -= 1
-            permissible.add(v)
-            lab[v] = PERMISSIBLE
-    h.green_count = n_green
-    h.useless_count = n_useless
-
-
-def _rebalance_padding(h: HamState) -> None:
-    """Keep struct + padded useless at twice the red count when possible."""
-    target = 2 * h.R
-    cur = h.useless_count
-    if cur == target:
-        return
-    lab = h.label
-    padding = h.padding
-    permissible = h.permissible
-    while cur > target and padding:
-        v = padding.pop_arbitrary()
-        lab[v] = PERMISSIBLE
-        permissible.add(v)
-        cur -= 1
-    while cur < target and permissible:
-        v = permissible.pop_arbitrary()
-        lab[v] = USELESS
-        padding.add(v)
-        cur += 1
-    h.useless_count = cur
-
-
 def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> None:
     """Refile the path after a step that changed it.
 
     The ``absorbed`` vertices, already linked into the path, are filed as
     permissible in that order; the reds whose pending edge points at one of
-    them are uncoloured in ``red_at`` order.  Then the neighbourhoods of
-    ``seeds`` and of those reds, in that order, are reclassified and the
-    padding is rebalanced.
+    them are uncoloured in ``red_at`` order.  Then the on-path, non-red
+    vertices within path distance 2 of ``seeds`` and of those reds are refiled
+    by their distance to a red one: GREEN next to a red, USELESS at distance
+    exactly 2, else PERMISSIBLE, where a padded useless vertex stays useless
+    by choice.  Last, the padding is rebalanced so that structural plus padded
+    useless vertices number twice the reds, as far as the classes allow.
+    Slot 0 is a sentinel (label OFF_UNSAT, no links), so missing neighbours
+    read as not red, and the links are consistent, so the distance-2
+    vertices are ``prv[prv[v]]`` and ``nxt[nxt[v]]``.
+
+    The set operations are ``IndexedSet``'s, written out on the packed lists,
+    and their order is load-bearing: it decides which vertex the padding
+    moves pop from then on.  So ``affected`` is a set filled in walk order
+    (each seed, its predecessors, its successors) and iterated as a set; a
+    list, a sorted or deduplicated copy or any other traversal changes the runs.
     """
-    lab = h.label
+    lab, prv, nxt = h.label, h.prv, h.nxt
+    perm, ppos = h.permissible._items, h.permissible._pos
+    pad, dpos = h.padding._items, h.padding._pos
     dead: list[int] = []
     for w in absorbed:
         lab[w] = PERMISSIBLE
-        h.permissible.add(w)
+        ppos[w] = len(perm)
+        perm.append(w)
         dead += h.red_at.get(w, ())
     h.X += len(absorbed)
     for x in dead:
         _uncolour_red(h, x)
     affected: set[int] = set()
-    for w in (*seeds, *dead):
-        _near(h, w, affected)
-    _reclassify(h, affected)
-    _rebalance_padding(h)
-    if h.debug:
-        h.check_quick()
+    add = affected.add
+    for v in (*seeds, *dead):
+        if v and lab[v] > OFF_MATCHED:  # on the path
+            add(v)
+            w = prv[v]
+            if w:
+                add(w)
+                if prv[w]:
+                    add(prv[w])
+            w = nxt[v]
+            if w:
+                add(w)
+                if nxt[w]:
+                    add(nxt[w])
+    n_green, n_useless = h.green_count, h.useless_count
+    for v in affected:
+        L = lab[v]
+        if L <= RED:  # off the path, or red
+            continue
+        p, q = prv[v], nxt[v]
+        if lab[p] == RED or lab[q] == RED:
+            if L == GREEN:
+                continue
+            new = GREEN
+        elif lab[prv[p]] == RED or lab[nxt[q]] == RED:
+            new = USELESS
+        elif L == PERMISSIBLE or v in dpos:
+            continue  # padding stays useless by choice
+        else:
+            new = PERMISSIBLE
+        if L == PERMISSIBLE:  # permissible.discard(v)
+            j = ppos.pop(v)
+            last = perm.pop()
+            if last != v:
+                perm[j] = last
+                ppos[last] = j
+        elif L == USELESS:  # padding.discard(v): a padded vertex turns structural
+            j = dpos.pop(v, None)
+            if j is not None:
+                last = pad.pop()
+                if last != v:
+                    pad[j] = last
+                    dpos[last] = j
+            if new == USELESS:
+                continue
+            n_useless -= 1
+        else:
+            n_green -= 1
+        if new == GREEN:
+            n_green += 1
+        elif new == USELESS:
+            n_useless += 1
+        else:  # permissible.add(v)
+            ppos[v] = len(perm)
+            perm.append(v)
+        lab[v] = new
+    target = 2 * h.R
+    while n_useless > target and pad:  # padding.pop_arbitrary(), permissible.add
+        v = pad.pop()
+        del dpos[v]
+        lab[v] = PERMISSIBLE
+        ppos[v] = len(perm)
+        perm.append(v)
+        n_useless -= 1
+    while n_useless < target and perm:  # permissible.pop_arbitrary(), padding.add
+        v = perm.pop()
+        del ppos[v]
+        lab[v] = USELESS
+        dpos[v] = len(pad)
+        pad.append(v)
+        n_useless += 1
+    h.green_count, h.useless_count = n_green, n_useless
+
+
+def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
+                cut: float) -> tuple[int, int, int, int]:
+    """The round kernel: play rounds off ``buf[i:end]`` (k offers a round) while the
+    path has fewer than ``cut`` vertices; return (position, last round's rank,
+    its square's offset, its circle).
+    """
+    n, debug, played = h.n, h.debug, h.played
+    lab, nxt, prv, mate = h.label, h.nxt, h.prv, h.mate
+    red_target, red_at = h.red_target, h.red_at
+    uitems, upos = h.unsat._items, h.unsat._pos
+    mitems, mpos = h.matched._items, h.matched._pos
+    perm, ppos = h.permissible._items, h.permissible._pos
+    rank_of = _RANK
+    rank = j = v = 0
+    while i < end and h.X < cut:
+        # square: the first offer of the best rank
+        j = i
+        rank = rank_of[lab[buf[i]]]
+        if rank and k > 1:
+            for jj in range(i + 1, i + k):
+                r = rank_of[lab[buf[jj]]]
+                if r < rank:
+                    rank, j = r, jj
+                    if not r:
+                        break
+        u = buf[j]
+        i += k
+        if rank == 0:  # match two unsaturated vertices
+            v = uitems[rng.integers(len(uitems))]
+            if v != u:
+                lab[u] = OFF_MATCHED
+                lab[v] = OFF_MATCHED
+                mate[u] = v
+                mate[v] = u
+                for w in (u, v):  # unsat.discard(w)
+                    p = upos.pop(w)
+                    last = uitems.pop()
+                    if last != w:
+                        uitems[p] = last
+                        upos[last] = p
+                for w in (u, v):  # matched.add(w)
+                    mpos[w] = len(mitems)
+                    mitems.append(w)
+        elif rank == 1:  # append u and its mate at the tail
+            m = mate[u]
+            for w in (u, m):  # matched.discard(w)
+                p = mpos.pop(w)
+                last = mitems.pop()
+                if last != w:
+                    mitems[p] = last
+                    mpos[last] = p
+            mate[u] = 0
+            mate[m] = 0
+            tail = h.tail
+            if tail:
+                v = tail
+                nxt[tail] = u
+                prv[u] = tail
+            else:
+                v = m  # no endpoint yet: the pair itself starts the path
+                h.head = u
+            nxt[u] = m
+            prv[m] = u
+            h.tail = m
+            _settle(h, (u, m), (tail, u, m))
+        elif rank == 2:  # absorb through the pending edge of u's red neighbour
+            p = prv[u]
+            y = p if p and lab[p] == RED else nxt[u]
+            assert y and lab[y] == RED, "a green vertex must have a red neighbour"
+            z = red_target[y]
+            _uncolour_red(h, y)
+            if lab[z] == OFF_UNSAT:
+                v = z
+                absorbed: tuple[int, ...] = (z,)
+                chain = absorbed
+                items, pos = uitems, upos
+            else:
+                v = mate[z]
+                mate[z] = 0
+                mate[v] = 0
+                absorbed = (z, v)
+                chain = (v, z)
+                items, pos = mitems, mpos
+            for w in absorbed:  # unsat.discard(z), or matched.discard(z), then its mate
+                p = pos.pop(w)
+                last = items.pop()
+                if last != w:
+                    items[p] = last
+                    pos[last] = p
+            _splice(h, u, y, chain)
+            _settle(h, absorbed, (u, y, *absorbed))
+        elif rank == 3:  # colour a new pending edge from a permissible vertex
+            nm = len(mitems)
+            nu = len(uitems)
+            assert nm + nu > 0, "an incomplete path leaves off-path vertices"
+            x = int(rng.integers(nm + nu))
+            v = mitems[x] if x < nm else uitems[x - nm]
+            p = ppos.pop(u)  # permissible.discard(u)
+            last = perm.pop()
+            if last != u:
+                perm[p] = last
+                ppos[last] = p
+            lab[u] = RED
+            h.R += 1
+            red_target[u] = v
+            red_at.setdefault(v, []).append(u)
+            _settle(h, (), (u,))
+        else:  # pass
+            v = int(rng.integers(1, n + 1))
+        if debug:
+            played[(u, v) if u < v else (v, u)] += 1
+            h.check_quick()
+    return i, rank, j, v
 
 
 def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
-    """Play one round; mutates ``h`` and reports the chosen edge."""
-    rank, i = classify(_RANK, h.label, squares)
-    u = squares[i]
-    lab = h.label
-    if rank == 0:  # match two unsaturated vertices
-        v = h.unsat.sample(rng)
-        if v == u:
-            return StepOutcome("a", i + 1, u, v, False)
-        lab[u] = OFF_MATCHED
-        lab[v] = OFF_MATCHED
-        h.mate[u] = v
-        h.mate[v] = u
-        h.unsat.discard(u)
-        h.unsat.discard(v)
-        h.matched.add(u)
-        h.matched.add(v)
-        if h.debug:
-            h.check_quick()
-        return StepOutcome("a", i + 1, u, v, True)
-
-    if rank == 1:  # append u and its mate at an endpoint
-        m = h.mate[u]
-        h.matched.discard(u)
-        h.matched.discard(m)
-        h.mate[u] = 0
-        h.mate[m] = 0
-        old_tail = h.tail
-        if old_tail == 0:
-            v = m  # no endpoint yet: the pair itself starts the path
-            h.head = u
-        else:
-            v = old_tail
-            h.nxt[old_tail] = u
-            h.prv[u] = old_tail
-        h.nxt[u] = m
-        h.prv[m] = u
-        h.tail = m
-        _settle(h, (u, m), (old_tail, u, m))
-        return StepOutcome("b", i + 1, u, v, True)
-
-    if rank == 2:  # absorb through the pending edge of u's red neighbour
-        p, q_ = h.prv[u], h.nxt[u]
-        y = p if (p and lab[p] == RED) else q_
-        assert y and lab[y] == RED, "a green vertex must have a red neighbour"
-        z = h.red_target[y]
-        _uncolour_red(h, y)
-        if lab[z] == OFF_UNSAT:
-            case = "c'"
-            v = z
-            h.unsat.discard(z)
-            absorbed: tuple[int, ...] = (z,)
-            _splice(h, u, y, (z,))
-        else:
-            case = "c''"
-            q = h.mate[z]
-            v = q
-            h.matched.discard(z)
-            h.matched.discard(q)
-            h.mate[z] = 0
-            h.mate[q] = 0
-            absorbed = (z, q)
-            _splice(h, u, y, (q, z))
-        _settle(h, absorbed, (u, y, *absorbed))
-        return StepOutcome(case, i + 1, u, v, True)
-
-    if rank == 3:  # colour a new pending edge from a permissible vertex
-        nm = len(h.matched)
-        nu = len(h.unsat)
-        assert nm + nu > 0, "an incomplete path leaves off-path vertices"
-        j = int(rng.integers(nm + nu))
-        v = h.matched.at(j) if j < nm else h.unsat.at(j - nm)
-        h.permissible.discard(u)
-        lab[u] = RED
-        h.R += 1
-        h.red_target[u] = v
-        h.red_at.setdefault(v, []).append(u)
-        _settle(h, (), (u,))
-        return StepOutcome("d", i + 1, u, v, True)
-
-    v = int(rng.integers(1, h.n + 1))  # pass
-    return StepOutcome("e", i + 1, u, v, False)
+    """Play one round through the kernel; mutates ``h`` and reports the chosen edge."""
+    X, Y = h.X, len(h.matched)
+    _, rank, j, v = _play_block(h, squares, 0, len(squares), len(squares), rng, h.n + 1)
+    case = "c'" if rank == 2 and h.X == X + 1 else _CASE_OF_RANK[rank]
+    changed = 0 < rank < 4 or len(h.matched) > Y
+    return StepOutcome(case, j + 1, squares[j], v, changed)
 
 
 def ham_case_probabilities(X, Y, R, n, k: int, n_green=None, n_useless=None):
@@ -509,25 +542,34 @@ class HamTrace:
 def ham_completion(h: HamState, src: SquareSource, rng) -> tuple[int, list[int]]:
     """Finish the path, then close the cycle; returns (extra rounds, cycle).
 
-    While vertices remain off the path the regular step keeps absorbing
+    While vertices remain off the path the regular rounds keep absorbing
     them.  Once the path spans all vertices, rounds pass until a square
     lands on an endpoint, which is then joined to the opposite endpoint.
     """
     n = h.n
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    extra = play(ham_step, h, src, rng, lambda: h.X >= n)
-    extra += src.rounds_until_hit((h.head, h.tail))
+    extra = play_blocks(_play_block, h, src, rng, n, lambda: h.X >= n)
+    head, tail = h.head, h.tail
+    extra += src.rounds_until_hit((head, tail))
+    if h.played is not None:  # the closing round plays the endpoint-to-endpoint edge
+        h.played[(head, tail) if head < tail else (tail, head)] += 1
     cycle = h.path_order()
-    verify_hamiltonian_cycle(cycle, n)
+    verify_hamiltonian_cycle(cycle, n, h.played)
     return extra, cycle
 
 
-def verify_hamiltonian_cycle(cycle: list[int], n: int) -> None:
+def verify_hamiltonian_cycle(cycle: list[int], n: int, played=None) -> None:
+    """Check that ``cycle`` visits every vertex once, and, given the multiset of
+    played edges (smaller end first), that each of its edges was played."""
     if n < 3:
         raise AssertionError("a cycle needs at least 3 vertices")
     if len(cycle) != n or set(cycle) != set(range(1, n + 1)):
         raise AssertionError("cycle must visit every vertex exactly once")
+    if played is not None:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if ((a, b) if a < b else (b, a)) not in played:
+                raise AssertionError(f"cycle edge {a}-{b} was never played")
 
 
 def ham_run(
@@ -557,8 +599,8 @@ def ham_run(
     stride = sample_stride if sample_stride is not None else max(1, n // 100)
     cut = x_stop * n
     samples = [(0, 0, 0, 0)] if stride else []
-    threshold_round = play(
-        ham_step, h, src, rng_ch, lambda: h.X >= cut,
+    threshold_round = play_blocks(
+        _play_block, h, src, rng_ch, cut, lambda: h.X >= cut,
         observe=lambda t: samples.append((t, h.X, h.Y, h.R)),
         every=stride,
         check=h.validate,

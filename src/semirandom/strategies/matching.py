@@ -5,26 +5,38 @@ A green vertex holds a pending edge to an unsaturated vertex and its mate
 is red; a square on a red vertex triggers an augmentation along the pending
 edge.  Squares are consumed greedily in the priority order: unsaturated,
 red, uncoloured, green (pass).
+
+Every round, ``pm_step``'s included, is played by one kernel,
+``_play_block``, straight off a ``SquareSource`` block with the labels,
+mates, pending edges and the unsaturated set's packed list and position map
+in locals.
+It runs until the stop count, the end of the block or the caller's round
+budget (the next sample or check); ``play_blocks`` refills a used-up block
+only when a round is about to be played, where ``next_round`` would.  The
+set operations are written out in ``IndexedSet``'s own order (swap the tail
+into the hole), and so are the draws (the pass case's unused circle draw
+included), so the packed order, and with it every later sample, is the one
+round-by-round play leaves.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 
 from ..indexed import IndexedSet
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from ..process import ProcessConfig, add_edge  # noqa: F401
 from ..rng import SquareSource
-from .common import StepOutcome, classify, play, trial_source
+from .common import StepOutcome, play_blocks, trial_source
 
 UNSAT = 0
 M_UNCOL = 1
 M_RED = 2
 M_GREEN = 3
 
-# priority rank per label: unsat beats red beats uncoloured beats green
-_RANK = {UNSAT: 0, M_RED: 1, M_UNCOL: 2, M_GREEN: 3}
+# priority rank by label: unsat beats red beats uncoloured beats green
+_RANK = (0, 2, 1, 3)
 _CASE_OF_RANK = ("a", "b", "c", "d")
 
 
@@ -33,10 +45,13 @@ class PMState:
 
     ``green_partner[g]`` is the unsaturated endpoint of g's pending edge;
     ``green_at[v]`` lists the green vertices whose pending edge targets the
-    unsaturated vertex v (several pending edges may share a target).
+    unsaturated vertex v (several pending edges may share a target).  Debug
+    states count every played edge (square, circle), smaller end first, in
+    ``played``: the certificate ``verify_perfect_matching`` checks.
     """
 
-    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "R", "debug")
+    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "R", "debug",
+                 "played")
 
     def __init__(self, n: int, debug: bool = False):
         if n < 1:
@@ -49,6 +64,7 @@ class PMState:
         self.unsat = IndexedSet(range(1, n + 1))
         self.R = 0
         self.debug = debug
+        self.played = Counter() if debug else None
 
     @property
     def U(self) -> int:
@@ -100,85 +116,105 @@ class PMState:
                 assert lab[g] == M_GREEN and self.green_partner[g] == y
 
 
-classify_pm = partial(classify, _RANK)
+def classify_pm(label: list[int], squares) -> tuple[int, int]:
+    """(best priority rank, index of the first square achieving it); rank 0 is best."""
+    ranks = [_RANK[label[s]] for s in squares]
+    best = min(ranks)
+    return best, ranks.index(best)
 
 
-def _uncolour_all_at(pm: PMState, w: int) -> None:
-    """Drop every pending edge targeting w (w just became saturated)."""
-    gs = pm.green_at.pop(w, None)
-    if not gs:
-        return
-    lab = pm.label
-    for g in gs:
-        lab[g] = M_UNCOL
-        lab[pm.mate[g]] = M_UNCOL
-        pm.green_partner[g] = 0
-        pm.R -= 1
-
-
-def _saturate_pair(pm: PMState, u: int, v: int) -> None:
-    lab = pm.label
-    lab[u] = M_UNCOL
-    lab[v] = M_UNCOL
-    pm.mate[u] = v
-    pm.mate[v] = u
-    pm.unsat.discard(u)
-    pm.unsat.discard(v)
-    _uncolour_all_at(pm, u)
-    _uncolour_all_at(pm, v)
-
-
-def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
-    """Play one round; mutates ``pm`` and reports the chosen edge.
+def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,
+                cut: float) -> tuple[int, int, int, int]:
+    """The round kernel: play rounds off ``buf[i:end]`` (k offers a round) while more
+    than ``cut`` vertices are unsaturated; return (position, last round's rank,
+    its square's offset, its circle).
 
     Self-hits in the match/augment cases consume the round without progress.
     """
-    if not pm.unsat:
+    n, debug, played = pm.n, pm.debug, pm.played
+    lab, mate, partner, green_at = pm.label, pm.mate, pm.green_partner, pm.green_at
+    items, pos = pm.unsat._items, pm.unsat._pos
+    rank_of = _RANK
+    R = pm.R
+    rank = j = v = 0
+    while i < end and len(items) > cut:
+        # square: the first offer of the best rank
+        j = i
+        rank = rank_of[lab[buf[i]]]
+        if rank and k > 1:
+            for jj in range(i + 1, i + k):
+                r = rank_of[lab[buf[jj]]]
+                if r < rank:
+                    rank, j = r, jj
+                    if not r:
+                        break
+        u = buf[j]
+        i += k
+        if rank == 3:  # pass
+            v = int(rng.integers(1, n + 1))
+        else:
+            v = items[rng.integers(len(items))]
+            if rank == 2:  # colour a pending edge from u; u's mate turns red
+                lab[u] = M_GREEN
+                partner[u] = v
+                green_at.setdefault(v, []).append(u)
+                lab[mate[u]] = M_RED
+                R += 1
+            else:
+                # match: saturate u and v; augment: u's mate x takes the endpoint y
+                # of its pending edge, u takes v
+                if rank:
+                    x = mate[u]
+                    y = partner[x]
+                else:
+                    y = u
+                if v != y:
+                    if rank:
+                        gs = green_at[y]
+                        gs.remove(x)
+                        if not gs:
+                            del green_at[y]
+                        partner[x] = 0
+                        lab[x] = M_UNCOL
+                        lab[y] = M_UNCOL
+                        mate[x] = y
+                        mate[y] = x
+                        R -= 1
+                    lab[u] = M_UNCOL
+                    lab[v] = M_UNCOL
+                    mate[u] = v
+                    mate[v] = u
+                    for w in (y, v):  # unsat.discard(w)
+                        p = pos.pop(w)
+                        last = items.pop()
+                        if last != w:
+                            items[p] = last
+                            pos[last] = p
+                    for w in (y, v):  # drop the pending edges targeting w
+                        gs = green_at.pop(w, None)
+                        if gs:
+                            for g in gs:
+                                lab[g] = M_UNCOL
+                                lab[mate[g]] = M_UNCOL
+                                partner[g] = 0
+                                R -= 1
+        if debug:
+            played[(u, v) if u < v else (v, u)] += 1
+            pm.R = R
+            pm.check_quick()
+    pm.R = R
+    return i, rank, j, v
+
+
+def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
+    """Play one round through the kernel; mutates ``pm`` and reports the chosen edge."""
+    unsat = pm.unsat._items
+    if not unsat:
         raise ValueError("matching already perfect; the run is over")
-    rank, i = classify(_RANK, pm.label, squares)
-    u = squares[i]
-    changed = False
-    if rank == 0:  # match u with a random unsaturated partner
-        v = pm.unsat.sample(rng)
-        if v != u:
-            _saturate_pair(pm, u, v)
-            changed = True
-    elif rank == 1:  # augment along the pending edge through u's mate
-        x = pm.mate[u]
-        y = pm.green_partner[x]
-        v = pm.unsat.sample(rng)
-        if v != y:
-            pm.green_at[y].remove(x)
-            if not pm.green_at[y]:
-                del pm.green_at[y]
-            pm.green_partner[x] = 0
-            pm.label[x] = M_UNCOL
-            pm.label[u] = M_UNCOL
-            pm.R -= 1
-            pm.label[y] = M_UNCOL
-            pm.label[v] = M_UNCOL
-            pm.mate[x] = y
-            pm.mate[y] = x
-            pm.mate[u] = v
-            pm.mate[v] = u
-            pm.unsat.discard(y)
-            pm.unsat.discard(v)
-            _uncolour_all_at(pm, y)
-            _uncolour_all_at(pm, v)
-            changed = True
-    elif rank == 2:  # colour a pending edge from u; u's mate turns red
-        v = pm.unsat.sample(rng)
-        pm.label[u] = M_GREEN
-        pm.green_partner[u] = v
-        pm.green_at.setdefault(v, []).append(u)
-        pm.label[pm.mate[u]] = M_RED
-        pm.R += 1
-        changed = True
-    else:  # pass
-        v = int(rng.integers(1, pm.n + 1))
-    if pm.debug:
-        pm.check_quick()
-    return StepOutcome(_CASE_OF_RANK[rank], i + 1, u, v, changed)
+    before = len(unsat)
+    _, rank, j, v = _play_block(pm, squares, 0, len(squares), len(squares), rng, -1)
+    changed = rank == 2 or len(unsat) < before
+    return StepOutcome(_CASE_OF_RANK[rank], j + 1, squares[j], v, changed)
 
 
 def pm_case_probabilities(X, R, n, k: int):
@@ -234,22 +270,27 @@ def pm_completion(pm: PMState, src: SquareSource, rng, t: int = 0, **hooks) -> i
 
     Progress is guaranteed: the unsaturated count is even and each round
     matches a pair with probability at least 1 - (1 - U/n)^k.  ``t`` is the
-    round count so far and ``hooks`` are ``play``'s observe/check arguments,
-    so a run's samples and validation continue through completion.
+    round count so far and ``hooks`` are ``play_blocks``' observe/check
+    arguments, so a run's samples and validation continue through completion.
     """
     if pm.n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    extra = play(pm_step, pm, src, rng, lambda: not pm.unsat, t=t, **hooks) - t
+    unsat = pm.unsat._items
+    extra = play_blocks(_play_block, pm, src, rng, 0, lambda: not unsat, t=t, **hooks) - t
     verify_perfect_matching(pm)
     return extra
 
 
 def verify_perfect_matching(pm: PMState) -> None:
+    """Check that ``mate`` is a perfect matching, and in debug states that each
+    of its pairs is an edge the process played."""
     mate = pm.mate
     for v in range(1, pm.n + 1):
         m = mate[v]
         if not (1 <= m <= pm.n) or m == v or mate[m] != v:
             raise AssertionError(f"vertex {v} is not properly matched")
+        if pm.played is not None and v < m and (v, m) not in pm.played:
+            raise AssertionError(f"matched pair {v}-{m} was never played")
 
 
 def pm_run(
@@ -285,7 +326,9 @@ def pm_run(
         check=pm.validate,
         check_every=validate_every,
     )
-    threshold_round = play(pm_step, pm, src, rng_ch, lambda: pm.U <= cut, **hooks)
+    unsat = pm.unsat._items
+    threshold_round = play_blocks(_play_block, pm, src, rng_ch, cut,
+                                  lambda: len(unsat) <= cut, **hooks)
     completion = pm_completion(pm, src, rng_ch, threshold_round, **hooks) if complete else 0
     if validate_every:
         pm.validate()

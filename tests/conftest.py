@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -40,13 +42,14 @@ def scripted_rng():
 def _copy_state(state):
     """Independent copy of a builder state (``PMState`` or ``HamState``).
 
-    Lists, dicts of lists and ``IndexedSet``s are copied, the sets in packed
-    order, so the copy makes the same draws as the original would.
+    Lists, dicts of lists, the played-edge ``Counter`` and ``IndexedSet``s
+    are copied, the sets in packed order, so the copy makes the same draws
+    as the original would.
     """
     other = object.__new__(type(state))
     for name in type(state).__slots__:
         value = getattr(state, name)
-        if isinstance(value, (list, IndexedSet)):
+        if isinstance(value, (list, IndexedSet, Counter)):
             value = type(value)(value)
         elif isinstance(value, dict):
             value = {key: list(items) for key, items in value.items()}

@@ -4,7 +4,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from semirandom import ProcessConfig, trial_rng
 from semirandom.rng import SquareSource, trial_streams
@@ -23,11 +23,17 @@ from semirandom.strategies import (
     ham_step,
     verify_hamiltonian_cycle,
 )
+from semirandom.strategies import hamilton
+from semirandom.strategies.common import play_blocks
 
 
 def build_path(n, path, matched=(), reds=()):
-    """HamState with an explicit path, matched pairs, and red targets."""
+    """HamState with an explicit path, matched pairs, and red targets.  The
+    path edges, pairs and pending edges count as played, as in a run that
+    reached this state."""
     h = HamState(n, debug=True)
+    for a, b in (*zip(path, path[1:]), *matched, *reds):
+        h.played[min(a, b), max(a, b)] += 1
     for v in path:
         h.unsat.discard(v)
         h.label[v] = PERMISSIBLE
@@ -55,13 +61,7 @@ def build_path(n, path, matched=(), reds=()):
         h.red_target[x] = z
         h.red_at.setdefault(z, []).append(x)
     # rebuild the derived classes the same way the step function does
-    from semirandom.strategies.hamilton import _near, _rebalance_padding, _reclassify
-
-    affected = set()
-    for v in path:
-        _near(h, v, affected)
-    _reclassify(h, affected)
-    _rebalance_padding(h)
+    hamilton._settle(h, (), tuple(path))
     h.validate()
     return h
 
@@ -345,3 +345,135 @@ def test_seeded_traces_are_pinned(k, debug):
     tr = ham_run(ProcessConfig(n=2000, k=k, seed=2027, debug=debug), trial_index=3)
     payload = repr((tr.threshold_round, tr.completion_rounds, tr.total_rounds, tr.samples, tr.cycle))
     assert hashlib.sha256(payload.encode()).hexdigest()[:16] == PINNED_HAM_TRACES[k]
+
+
+def _ham_digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _recording_ham_states(monkeypatch):
+    """Make ``ham_run`` hand out the states it builds; returns the list they land in."""
+    made = []
+
+    class Recording(hamilton.HamState):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(hamilton, "HamState", Recording)
+    return made
+
+
+# sha256 prefix of repr((threshold, completion, samples, cycle, final label,
+# links, mate, red_target, red_at, packed unsat/matched/permissible/padding
+# orders, counters)) at sample_stride 7 and validate_every 211; the
+# complete=False rows stop at the threshold
+PINNED_HAM_STATES = {
+    (10, 1, False, True): "ce2472a5bc313985",
+    (10, 1, True, True): "ce2472a5bc313985",
+    (10, 2, False, True): "d4a5bb6127ef8b65",
+    (10, 2, True, True): "d4a5bb6127ef8b65",
+    (10, 3, False, True): "b45c9c7feb5a33e2",
+    (10, 3, True, True): "b45c9c7feb5a33e2",
+    (300, 1, False, True): "702f32f260974289",
+    (300, 1, True, True): "702f32f260974289",
+    (300, 2, False, True): "844dc62ef87cd642",
+    (300, 2, True, True): "844dc62ef87cd642",
+    (300, 3, False, True): "5b7fd4eacda2cb88",
+    (300, 3, True, True): "5b7fd4eacda2cb88",
+    (5000, 1, False, True): "201ae7ba5192f14f",
+    (5000, 1, True, True): "201ae7ba5192f14f",
+    (5000, 2, False, True): "a24e8abb159a0ce1",
+    (5000, 2, True, True): "a24e8abb159a0ce1",
+    (5000, 3, False, True): "52e36effb99ffb54",
+    (5000, 3, True, True): "52e36effb99ffb54",
+    (300, 1, False, False): "5ce9ecf626b5e0d9",
+    (300, 2, False, False): "ca65b6ed5ee90be7",
+    (300, 3, False, False): "cceacc8789b56e2d",
+    (5000, 1, False, False): "35a4120d900d8598",
+    (5000, 2, False, False): "3df20acc045fe3f7",
+    (5000, 3, False, False): "e35c6ba4311cbdb3",
+}
+
+
+@pytest.mark.parametrize("n,k,debug,complete", list(PINNED_HAM_STATES))
+def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, complete):
+    made = _recording_ham_states(monkeypatch)
+    cfg = ProcessConfig(n=n, k=k, seed=4051 + n, debug=debug)
+    tr = ham_run(cfg, trial_index=k, sample_stride=7, complete=complete, validate_every=211)
+    (h,) = made
+    payload = (
+        tr.threshold_round, tr.completion_rounds, tr.samples, tr.cycle,
+        h.label, h.nxt, h.prv, h.head, h.tail, h.mate, h.red_target, h.red_at,
+        list(h.unsat), list(h.matched), list(h.permissible), list(h.padding),
+        h.X, h.R, h.green_count, h.useless_count,
+    )
+    assert _ham_digest(*payload) == PINNED_HAM_STATES[(n, k, debug, complete)]
+
+
+def test_consecutive_runs_on_shared_streams_are_pinned():
+    # the second run starts where the first left both generators
+    streams = trial_streams(2031, 5)
+    cfg = ProcessConfig(n=300, k=2, seed=0)
+    first = ham_run(cfg, sample_stride=5, streams=streams)
+    second = ham_run(cfg, sample_stride=5, streams=streams)
+    states = [s.bit_generator.state for s in streams]
+    assert _ham_digest(first, second, states) == "aec7aac61d8688a5"
+
+
+def _ham_snapshot(h, src, rng_sq, rng_ch):
+    return (h.label, h.nxt, h.prv, h.head, h.tail, h.mate, h.red_target, h.red_at,
+            list(h.unsat), list(h.matched), list(h.permissible), list(h.padding),
+            h.X, h.R, h.green_count, h.useless_count, h.played,
+            src._i, src._buf, src._rounds, rng_sq.bit_generator.state, rng_ch.bit_generator.state)
+
+
+# the first two runs complete the path exactly at a block end (after round
+# 24), where a driver that refilled eagerly would move the square stream on
+@example(n=10, k=1, seed=66, every=5, check_every=0)
+@example(n=14, k=2, seed=28, every=0, check_every=7)
+@given(n=st.integers(3, 60), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       every=st.integers(0, 12), check_every=st.integers(0, 12))
+def test_block_driver_matches_one_round_steps(n, k, seed, every, check_every):
+    runs = []
+    for blockwise in (True, False):
+        h = HamState(n, debug=True)
+        rng_sq, rng_ch = trial_streams(seed)
+        src = SquareSource(n, k, rng_sq)
+        seen = []
+
+        def observe(t, h=h):
+            seen.append((t, h.X, h.Y, h.R))
+
+        def check(h=h):
+            h.validate()
+            seen.append(("check", h.X, h.Y, h.R))
+
+        if blockwise:
+            t = play_blocks(hamilton._play_block, h, src, rng_ch, n, lambda: h.X >= n,
+                            observe=observe, every=every, check=check, check_every=check_every)
+        else:
+            t = 0
+            while h.X < n:
+                ham_step(h, src.next_round(), rng_ch)
+                t += 1
+                if every and t % every == 0:
+                    observe(t)
+                if check_every and t % check_every == 0:
+                    check()
+        runs.append((t, seen, _ham_snapshot(h, src, rng_sq, rng_ch)))
+    assert runs[0] == runs[1]
+
+
+def test_certificate_rejects_a_cycle_edge_never_played():
+    n = 6
+    h = build_path(n, list(range(1, n + 1)))
+    rng_sq, rng_ch = trial_streams(3)
+    _, cycle = ham_completion(h, SquareSource(n, 2, rng_sq), rng_ch)
+    verify_hamiltonian_cycle(cycle, n, h.played)
+    closing = (min(cycle[0], cycle[-1]), max(cycle[0], cycle[-1]))
+    del h.played[closing]
+    with pytest.raises(AssertionError, match="never played"):
+        verify_hamiltonian_cycle(cycle, n, h.played)

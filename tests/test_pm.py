@@ -2,8 +2,10 @@
 
 import hashlib
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from semirandom import ProcessConfig, trial_rng
 from semirandom.rng import SquareSource, trial_streams
@@ -19,16 +21,20 @@ from semirandom.strategies import (
     pm_expected_changes,
     pm_run,
     pm_step,
+    verify_perfect_matching,
 )
 from semirandom.ode import solve_pm
 from semirandom.strategies import matching
+from semirandom.strategies.common import play_blocks
 
 
 def build_pm(n, pairs, coloured=(), unsat_targets=None):
     """PMState with given matched pairs; ``coloured[i]`` marks pair i as a
-    (green, red) pair whose pending edge targets ``unsat_targets[i]``."""
+    (green, red) pair whose pending edge targets ``unsat_targets[i]``.  The
+    pairs and pending edges count as played, as in a run that reached this state."""
     pm = PMState(n, debug=True)
     for a, b in pairs:
+        pm.played[min(a, b), max(a, b)] += 1
         pm.label[a] = M_UNCOL
         pm.label[b] = M_UNCOL
         pm.mate[a] = b
@@ -38,6 +44,7 @@ def build_pm(n, pairs, coloured=(), unsat_targets=None):
     for idx, i in enumerate(coloured):
         g, r = pairs[i]
         y = unsat_targets[idx]
+        pm.played[min(g, y), max(g, y)] += 1
         pm.label[g] = M_GREEN
         pm.label[r] = M_RED
         pm.green_partner[g] = y
@@ -296,3 +303,218 @@ def test_seeded_traces_are_pinned(monkeypatch, k, debug):
     tr = pm_run(ProcessConfig(n=2000, k=k, seed=2027, debug=debug), trial_index=3)
     payload = repr((tr.threshold_round, tr.completion_rounds, tr.total_rounds, tr.samples, mates))
     assert hashlib.sha256(payload.encode()).hexdigest()[:16] == PINNED_PM_TRACES[k]
+
+
+def _pm_digest(*parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def _recording_pm_states(monkeypatch):
+    """Make ``pm_run`` hand out the states it builds; returns the list they land in."""
+    made = []
+
+    class Recording(matching.PMState):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(matching, "PMState", Recording)
+    return made
+
+
+# sha256 prefix of repr((threshold, completion, samples, final label, mate,
+# green_partner, green_at, packed unsat order, R)) at sample_stride 7 and
+# validate_every 211; the complete=False rows stop at eps_stop 0.1
+PINNED_PM_STATES = {
+    (10, 1, False, True): "2c213ccf1194e55e",
+    (10, 1, True, True): "2c213ccf1194e55e",
+    (10, 2, False, True): "385c2d04c89d0624",
+    (10, 2, True, True): "385c2d04c89d0624",
+    (10, 3, False, True): "9eea70e8f174211c",
+    (10, 3, True, True): "9eea70e8f174211c",
+    (300, 1, False, True): "e3db578f79668898",
+    (300, 1, True, True): "e3db578f79668898",
+    (300, 2, False, True): "2f5c144e7ec8a424",
+    (300, 2, True, True): "2f5c144e7ec8a424",
+    (300, 3, False, True): "f8f87725c19353d2",
+    (300, 3, True, True): "f8f87725c19353d2",
+    (5000, 1, False, True): "e09211b6440201d5",
+    (5000, 1, True, True): "e09211b6440201d5",
+    (5000, 2, False, True): "824f58d6ceb638d9",
+    (5000, 2, True, True): "824f58d6ceb638d9",
+    (5000, 3, False, True): "02d3a1e0fd896039",
+    (5000, 3, True, True): "02d3a1e0fd896039",
+    (300, 1, False, False): "d29607758cc8074c",
+    (300, 2, False, False): "f644e097d63143a9",
+    (300, 3, False, False): "467da6346b08a920",
+    (5000, 1, False, False): "7b8f007d1758282b",
+    (5000, 2, False, False): "6c73cc7f94d61139",
+    (5000, 3, False, False): "5f10822649f141b9",
+}
+
+
+@pytest.mark.parametrize("n,k,debug,complete", list(PINNED_PM_STATES))
+def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, complete):
+    made = _recording_pm_states(monkeypatch)
+    cfg = ProcessConfig(n=n, k=k, seed=4049 + n, debug=debug)
+    eps_stop = 1e-3 if complete else 0.1
+    tr = pm_run(cfg, eps_stop, trial_index=k, sample_stride=7, complete=complete,
+                validate_every=211)
+    (pm,) = made
+    payload = (tr.threshold_round, tr.completion_rounds, tr.samples, pm.label, pm.mate,
+               pm.green_partner, pm.green_at, list(pm.unsat), pm.R)
+    assert _pm_digest(*payload) == PINNED_PM_STATES[(n, k, debug, complete)]
+
+
+def test_consecutive_runs_on_shared_streams_are_pinned():
+    # the second run starts where the first left both generators
+    streams = trial_streams(2029, 5)
+    cfg = ProcessConfig(n=300, k=2, seed=0)
+    first = pm_run(cfg, sample_stride=5, streams=streams)
+    second = pm_run(cfg, sample_stride=5, streams=streams)
+    states = [s.bit_generator.state for s in streams]
+    assert _pm_digest(first, second, states) == "eb2d17804d2b843b"
+
+
+class MatchingModel:
+    """The matching builder's rules one round at a time, written plainly.
+
+    The unsaturated vertices sit in a packed list (a leaving vertex's slot
+    takes the list's tail) and partners are drawn by index into it.
+    """
+
+    ORDER = {UNSAT: 0, M_RED: 1, M_UNCOL: 2, M_GREEN: 3}
+
+    def __init__(self, n: int):
+        self.n = n
+        self.label = [UNSAT] * (n + 1)
+        self.mate = [0] * (n + 1)
+        self.partner = [0] * (n + 1)
+        self.green_at: dict[int, list[int]] = {}
+        self.unsat = list(range(1, n + 1))
+        self.R = 0
+        self.played = Counter()
+
+    def pair(self, a: int, b: int) -> None:
+        self.label[a] = self.label[b] = M_UNCOL
+        self.mate[a], self.mate[b] = b, a
+
+    def saturated(self, a: int, b: int) -> None:
+        """a, then b, leaves the unsaturated list; pending edges to either die."""
+        for w in (a, b):
+            i = self.unsat.index(w)
+            last = self.unsat.pop()
+            if last != w:
+                self.unsat[i] = last
+        for w in (a, b):
+            for g in self.green_at.pop(w, []):
+                self.label[g] = self.label[self.mate[g]] = M_UNCOL
+                self.partner[g] = 0
+                self.R -= 1
+
+    def round(self, squares: list[int], rng) -> None:
+        ranks = [self.ORDER[self.label[s]] for s in squares]
+        rank = min(ranks)
+        u = squares[ranks.index(rank)]
+        if rank == 3:
+            v = int(rng.integers(1, self.n + 1))
+        else:
+            v = self.unsat[rng.integers(len(self.unsat))]
+        if rank == 0 and v != u:
+            self.pair(u, v)
+            self.saturated(u, v)
+        elif rank == 1:
+            x = self.mate[u]
+            y = self.partner[x]
+            if v != y:
+                self.green_at[y].remove(x)
+                if not self.green_at[y]:
+                    del self.green_at[y]
+                self.partner[x] = 0
+                self.R -= 1
+                self.pair(x, y)
+                self.pair(u, v)
+                self.saturated(y, v)
+        elif rank == 2:
+            self.label[u] = M_GREEN
+            self.label[self.mate[u]] = M_RED
+            self.partner[u] = v
+            self.green_at.setdefault(v, []).append(u)
+            self.R += 1
+        self.played[min(u, v), max(u, v)] += 1
+
+
+@given(n=st.integers(1, 30), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       budget=st.integers(1, 40))
+def test_round_kernel_matches_reference_model(n, k, seed, budget):
+    n *= 2
+    pm = PMState(n, debug=True)
+    rng_sq, rng_ch = trial_streams(seed)
+    t = play_blocks(matching._play_block, pm, SquareSource(n, k, rng_sq), rng_ch, 0,
+                    lambda: not pm.unsat, every=budget, observe=lambda t: None)
+    model = MatchingModel(n)
+    model_sq, model_ch = trial_streams(seed)
+    model_src = SquareSource(n, k, model_sq)
+    rounds = 0
+    while model.unsat:
+        model.round(model_src.next_round(), model_ch)
+        rounds += 1
+    assert t == rounds
+    assert (pm.label, pm.mate, pm.green_partner, pm.green_at, list(pm.unsat), pm.R) == (
+        model.label, model.mate, model.partner, model.green_at, model.unsat, model.R)
+    assert pm.played == model.played
+    assert rng_ch.bit_generator.state == model_ch.bit_generator.state
+    verify_perfect_matching(pm)
+
+
+def _pm_snapshot(pm, src, rng_sq, rng_ch):
+    return (pm.label, pm.mate, pm.green_partner, pm.green_at, list(pm.unsat), pm.R, pm.played,
+            src._i, src._buf, src._rounds, rng_sq.bit_generator.state, rng_ch.bit_generator.state)
+
+
+# the first two runs stop exactly at a block end (after round 24), where a
+# driver that refilled eagerly would move the square stream past the parent's
+@example(n=10, k=1, seed=61, every=5, check_every=0)
+@example(n=14, k=2, seed=159, every=0, check_every=7)
+@given(n=st.integers(3, 60), k=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       every=st.integers(0, 12), check_every=st.integers(0, 12))
+def test_block_driver_matches_one_round_steps(n, k, seed, every, check_every):
+    n -= n % 2
+    runs = []
+    for blockwise in (True, False):
+        pm = PMState(n, debug=True)
+        rng_sq, rng_ch = trial_streams(seed)
+        src = SquareSource(n, k, rng_sq)
+        seen = []
+
+        def observe(t, pm=pm):
+            seen.append((t, pm.X, pm.R))
+
+        def check(pm=pm):
+            pm.validate()
+            seen.append(("check", pm.X, pm.R))
+
+        if blockwise:
+            t = play_blocks(matching._play_block, pm, src, rng_ch, 0, lambda: not pm.unsat,
+                            observe=observe, every=every, check=check, check_every=check_every)
+        else:
+            t = 0
+            while pm.unsat:
+                pm_step(pm, src.next_round(), rng_ch)
+                t += 1
+                if every and t % every == 0:
+                    observe(t)
+                if check_every and t % check_every == 0:
+                    check()
+        runs.append((t, seen, _pm_snapshot(pm, src, rng_sq, rng_ch)))
+    assert runs[0] == runs[1]
+
+
+def test_certificate_rejects_a_pair_never_played():
+    pm = build_pm(4, [(1, 2), (3, 4)])
+    verify_perfect_matching(pm)
+    del pm.played[3, 4]
+    with pytest.raises(AssertionError, match="never played"):
+        verify_perfect_matching(pm)
