@@ -1,5 +1,4 @@
-"""Array-backed set with O(1) add/discard, uniform sampling, and a
-deterministic arbitrary-element pick (always the last packed slot)."""
+"""Array-backed set with O(1) add/discard and uniform sampling."""
 
 from __future__ import annotations
 
@@ -45,15 +44,6 @@ class IndexedSet:
             self._items[i] = last
             self._pos[last] = i
 
-    def at(self, i):
-        return self._items[i]
-
     def sample(self, rng):
         """Uniform random element; requires a nonempty set."""
         return self._items[rng.integers(len(self._items))]
-
-    def pop_arbitrary(self):
-        """Remove and return the last packed element (deterministic)."""
-        v = self._items.pop()
-        del self._pos[v]
-        return v

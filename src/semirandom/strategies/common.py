@@ -39,17 +39,19 @@ def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):
     return SquareSource(config.n, config.k, rng_sq), rng_ch
 
 
-def play_blocks(kernel, state, src: SquareSource, rng, cut, done, t=0, observe=None, every=0,
+def play_blocks(kernel, state, src: SquareSource, rng, arg, done, t=0, observe=None, every=0,
                 check=None, check_every=0) -> int:
     """Play ``kernel`` rounds off ``src``'s blocks until ``done()``; return the round count.
 
-    ``kernel(state, buf, i, end, k, rng, cut)`` plays the rounds of ``buf[i:end]``
-    until its stop rule, the one ``done`` tests, holds at ``cut``, and returns its
-    position first.  Counting starts at ``t``.  ``observe(t)`` runs after every
-    ``every``-th round and ``check()`` after every ``check_every``-th (0 turns
-    either off), so each call's budget ends at the next of them.  A used-up
-    block is refilled only when a round is about to be played, where
-    ``next_round`` would refill it.
+    ``kernel(state, buf, i, end, k, rng, arg)`` plays the rounds of ``buf[i:end]``
+    until its stop rule holds and returns its position first; ``arg`` is the
+    kernel's stop argument, the builders' stop level or the degree target's
+    strategy name (that kernel stops whenever the minimum degree rises).
+    Counting starts at ``t``.  ``observe(t)`` runs after every ``every``-th
+    round and ``check()`` after every ``check_every``-th (0 turns either off),
+    so each call's budget ends at the next of them.  A used-up block is
+    refilled only when a round is about to be played, where ``next_round``
+    would refill it.
     """
     k = src.k
     while not done():
@@ -59,7 +61,7 @@ def play_blocks(kernel, state, src: SquareSource, rng, cut, done, t=0, observe=N
         buf, i = src._buf, src._i
         if i >= len(buf):
             buf, i = src._refill(), 0
-        src._i = j = kernel(state, buf, i, min(len(buf), i + budget * k), k, rng, cut)[0]
+        src._i = j = kernel(state, buf, i, min(len(buf), i + budget * k), k, rng, arg)[0]
         t += (j - i) // k
         if every and t % every == 0:
             observe(t)

@@ -340,14 +340,14 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
             perm.append(v)
         lab[v] = new
     target = 2 * h.R
-    while n_useless > target and pad:  # padding.pop_arbitrary(), permissible.add
+    while n_useless > target and pad:  # padding: pop the last packed slot; permissible.add
         v = pad.pop()
         del dpos[v]
         lab[v] = PERMISSIBLE
         ppos[v] = len(perm)
         perm.append(v)
         n_useless -= 1
-    while n_useless < target and perm:  # permissible.pop_arbitrary(), padding.add
+    while n_useless < target and perm:  # permissible: pop the last packed slot; padding.add
         v = perm.pop()
         del ppos[v]
         lab[v] = USELESS
@@ -539,17 +539,20 @@ class HamTrace:
     cycle: list[int] | None
 
 
-def ham_completion(h: HamState, src: SquareSource, rng) -> tuple[int, list[int]]:
+def ham_completion(h: HamState, src: SquareSource, rng, t: int = 0,
+                   **hooks) -> tuple[int, list[int]]:
     """Finish the path, then close the cycle; returns (extra rounds, cycle).
 
     While vertices remain off the path the regular rounds keep absorbing
     them.  Once the path spans all vertices, rounds pass until a square
     lands on an endpoint, which is then joined to the opposite endpoint.
+    ``t`` is the round count so far and ``hooks`` are ``play_blocks``'
+    observe/check arguments, as in ``pm_completion``.
     """
     n = h.n
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    extra = play_blocks(_play_block, h, src, rng, n, lambda: h.X >= n)
+    extra = play_blocks(_play_block, h, src, rng, n, lambda: h.X >= n, t=t, **hooks) - t
     head, tail = h.head, h.tail
     extra += src.rounds_until_hit((head, tail))
     if h.played is not None:  # the closing round plays the endpoint-to-endpoint edge
@@ -609,7 +612,9 @@ def ham_run(
     completion = 0
     cycle = None
     if complete:
-        completion, cycle = ham_completion(h, src, rng_ch)
+        # samples stay main-phase-only; validation runs on through completion
+        completion, cycle = ham_completion(h, src, rng_ch, threshold_round,
+                                           check=h.validate, check_every=validate_every)
     if validate_every:
         h.validate()
     total = threshold_round + completion

@@ -8,10 +8,12 @@ single-purpose greedy routines cover the large-parameter regimes.
 
 Every min-degree round, the one-round steps' included, is played by one
 kernel, ``_play_block``, with the degree state in locals, until the minimum
-degree rises or the caller's budget (next sample or check, or block end)
-runs out.  It makes round-by-round play's ``rng.integers`` calls in order,
-refills blocks only where ``next_round`` would, and dispatches on the
-strategy name, not on the ``MIN_DEGREE_STRATEGIES`` entry a profiler wraps.
+degree rises or the round budget (next sample or check, or block end) runs
+out.  It makes round-by-round play's ``rng.integers`` calls in order and
+dispatches on the strategy name, its last argument, not on the
+``MIN_DEGREE_STRATEGIES`` entry a profiler wraps.  Runs play it under
+``play_blocks``, the driver of the builders' kernels too, which sets the
+budgets and refills blocks only where ``next_round`` would.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from ..process import (
     state_from_degrees,
 )
 from ..indexed import IndexedSet
-from ..rng import SQUARE_BLOCK_CAP, SquareSource, trial_streams
-from .common import StepOutcome, trial_source
+from ..rng import SquareSource, trial_streams
+from .common import StepOutcome, play_blocks, trial_source
 
 
 def select_square_index(degree: list[int], squares: list[int], policy: str, rng) -> int:
@@ -59,8 +61,8 @@ def select_square_index(degree: list[int], squares: list[int], policy: str, rng)
     return best
 
 
-def _play_block(state: GraphState, strategy: str, buf: list[int], i: int, end: int, k: int,
-                rng) -> tuple[int, int, int]:
+def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng,
+                strategy: str) -> tuple[int, int, int]:
     """The round kernel: play ``strategy`` off ``buf[i:end]`` (k offers a round) until
     the minimum degree rises; return (position, last square's offset, last circle).
     """
@@ -137,17 +139,8 @@ def _play_block(state: GraphState, strategy: str, buf: list[int], i: int, end: i
     return i, j, v
 
 
-def play_rounds(state: GraphState, strategy: str, src: SquareSource, rng, rounds: int) -> None:
-    """Play at most ``rounds`` rounds off ``src``, refilling a used-up block first."""
-    buf, i, k = src._buf, src._i, src.k
-    if i >= len(buf):
-        buf = src._refill()
-        i = 0
-    src._i = _play_block(state, strategy, buf, i, min(len(buf), i + rounds * k), k, rng)[0]
-
-
 def _one_round(state: GraphState, squares: list[int], rng, strategy: str, case: str):
-    _, j, v = _play_block(state, strategy, squares, 0, len(squares), len(squares), rng)
+    _, j, v = _play_block(state, squares, 0, len(squares), len(squares), rng, strategy)
     return StepOutcome(case, j + 1, squares[j], v, True)
 
 
@@ -253,7 +246,7 @@ def run_min_degree(
     periodically and at termination (debug runs).  ``streams`` overrides the
     default (seed, trial_index)-derived generator pair, letting mass
     experiments amortize generator construction.
-    The round kernel plays the rounds between phase ends, samples and checks,
+    ``play_blocks`` ends a kernel call at every phase end, sample and check,
     so each is recorded at the round where round-by-round play records it.
     """
     if l < 1:
@@ -262,33 +255,22 @@ def run_min_degree(
         raise ValueError(f"unknown min-degree strategy {strategy!r}")
     state = init_state(config)
     src, rng_ch = trial_source(config, trial_index, streams)
-    phase_ends = [0] * l
+    phase_ends: list[int] = []
     samples: list[tuple[int, ...]] = []
     buckets = state.buckets
-    reached = 0
 
     def observe(t: int) -> None:
         samples.append((t, *(buckets.count(d) for d in range(l))))
 
+    def done() -> bool:
+        md = min(buckets.min_nonempty, l)
+        phase_ends.extend([state.t] * (md - len(phase_ends)))
+        return md == l
+
     if sample_stride:
         observe(0)
-    while True:
-        md = buckets.min_nonempty
-        if md > reached:
-            phase_ends[reached : min(md, l)] = [state.t] * (min(md, l) - reached)
-            reached = md
-            if md >= l:
-                break
-        t = state.t
-        budget = sample_stride - t % sample_stride if sample_stride else SQUARE_BLOCK_CAP
-        if validate_every:
-            budget = min(budget, validate_every - t % validate_every)
-        play_rounds(state, strategy, src, rng_ch, budget)
-        t = state.t
-        if sample_stride and t % sample_stride == 0:
-            observe(t)
-        if validate_every and t % validate_every == 0:
-            state.validate()
+    play_blocks(_play_block, state, src, rng_ch, strategy, done, observe=observe,
+                every=sample_stride, check=state.validate, check_every=validate_every)
     if validate_every:
         state.validate()
     return MinDegreeTrace(config.n, config.k, l, state.t, phase_ends, samples)
@@ -330,9 +312,8 @@ def two_phase_mindeg(config: ProcessConfig, l: int, trial_index: int = 0) -> Two
         if loop_vertices.size:
             deg -= np.bincount(loop_vertices, minlength=n + 1)
     state = state_from_degrees(config, deg.tolist(), t=m)
-    src = SquareSource(n, config.k, rng_sq)
-    while state.buckets.min_nonempty < l:
-        play_rounds(state, "s0", src, rng_ch, SQUARE_BLOCK_CAP)
+    play_blocks(_play_block, state, SquareSource(n, config.k, rng_sq), rng_ch, "s0",
+                lambda: state.buckets.min_nonempty >= l, t=m)
     return TwoPhaseTrace(state.t, m, state.t - m)
 
 

@@ -8,7 +8,7 @@ from semirandom import trial_rng
 
 @given(
     ops=st.lists(
-        st.tuples(st.sampled_from(["add", "discard", "pop"]), st.integers(0, 20)),
+        st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 20)),
         max_size=200,
     )
 )
@@ -19,13 +19,9 @@ def test_matches_reference_set(ops):
         if op == "add":
             s.add(v)
             model.add(v)
-        elif op == "discard":
+        else:
             s.discard(v)
             model.discard(v)
-        elif op == "pop" and model:
-            out = s.pop_arbitrary()
-            assert out in model
-            model.discard(out)
         assert len(s) == len(model)
         assert set(s) == model
         for x in model:
@@ -43,10 +39,9 @@ def test_sampling_is_roughly_uniform():
         assert abs(c / rounds - 0.1) < 0.02
 
 
-def test_at_and_pop_are_deterministic():
+def test_packed_order_is_deterministic():
     s = IndexedSet([3, 1, 4, 1, 5])
     assert list(s) == [3, 1, 4, 5]
-    assert s.at(0) == 3
-    assert s.pop_arbitrary() == 5
-    s.discard(3)  # tail (4... actually last element) swaps into slot 0
+    s.discard(5)  # the last packed slot just goes
+    s.discard(3)  # the tail, 4, moves into slot 0
     assert list(s) == [4, 1]

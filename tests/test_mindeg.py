@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semirandom import ProcessConfig, trial_rng
@@ -16,9 +16,10 @@ from semirandom.process import (
     TIE_AVOID,
     TIE_LOWEST,
     TIE_UNIFORM,
+    init_state,
     state_from_degrees,
 )
-from semirandom.rng import SquareSource, trial_streams
+from semirandom.rng import ChoiceSource, SquareSource, trial_streams
 from semirandom.strategies import (
     MIN_DEGREE_STRATEGIES,
     case_probabilities_mindeg,
@@ -31,7 +32,8 @@ from semirandom.strategies import (
     two_phase_mindeg,
     uniform_circle_step,
 )
-from semirandom.strategies.mindeg import play_rounds
+from semirandom.strategies import mindeg
+from semirandom.strategies.common import play_blocks, trial_source
 
 E_INV = math.exp(-1.0)
 
@@ -388,8 +390,10 @@ def test_round_kernel_matches_reference_model(data):
     state = state_from_degrees(cfg, list(degree), t=t0)
     rng_sq, rng_ch = trial_streams(seed)
     src = SquareSource(n, k, rng_sq)
-    while state.t < t0 + rounds:
-        play_rounds(state, strategy, src, rng_ch, t0 + rounds - state.t)
+    ends = []  # the round budget ends after `rounds` rounds (0 plays none)
+    t = play_blocks(mindeg._play_block, state, src, rng_ch, strategy,
+                    lambda: state.t == t0 + rounds, observe=ends.append, every=rounds)
+    assert t == rounds and ends == ([rounds] if rounds else [])
 
     model = ReferenceModel(cfg, degree, t0)
     model_sq, model_ch = trial_streams(seed)
@@ -407,3 +411,91 @@ def test_round_kernel_matches_reference_model(data):
     assert _source_position(src, rng_sq) == _source_position(model_src, model_sq)
     assert rng_ch.bit_generator.state == model_ch.bit_generator.state
     state.validate()
+
+
+def _generator_state(rng) -> tuple:
+    if isinstance(rng, ChoiceSource):
+        return rng._bits.state, rng._i, rng._buf
+    return (rng.bit_generator.state,)
+
+
+def _degree_snapshot(state, src: SquareSource, rng) -> tuple:
+    b = state.buckets
+    return (state.degree, b._lists, b.pos, b._lo, b.min_nonempty, b.max_nonempty, state.t,
+            src._i, src._buf, src._rounds, _generator_state(src._rng), _generator_state(rng))
+
+
+def _run_with_internals(cfg, l, strategy, stride, every, streams):
+    """``run_min_degree`` plus the state, square source and choice stream it played on."""
+    seen = {}
+
+    def capture_state(config):
+        seen["state"] = init_state(config)
+        return seen["state"]
+
+    def capture_source(config, trial_index=0, streams=None):
+        seen["src"], seen["rng"] = trial_source(config, trial_index, streams)
+        return seen["src"], seen["rng"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mindeg, "init_state", capture_state)
+        mp.setattr(mindeg, "trial_source", capture_source)
+        trace = run_min_degree(cfg, l, strategy=strategy, sample_stride=stride,
+                               validate_every=every, streams=streams)
+    return trace, _degree_snapshot(seen["state"], seen["src"], seen["rng"])
+
+
+def _run_round_by_round(cfg, l, strategy, stride, every, streams):
+    """The same run as a loop of one-round steps over ``next_round``."""
+    state = init_state(cfg)
+    src, rng = trial_source(cfg, 0, streams)
+    step = MIN_DEGREE_STRATEGIES[strategy]
+    phase_ends, samples = [], []
+
+    def observe(t):
+        samples.append((t, *(state.degree[1:].count(d) for d in range(l))))
+
+    if stride:
+        observe(0)
+    while len(phase_ends) < l:
+        step(state, src.next_round(), rng)
+        t = state.t
+        if stride and t % stride == 0:
+            observe(t)
+        if every and t % every == 0:
+            state.validate()
+        phase_ends += [t] * (min(min(state.degree[1:]), l) - len(phase_ends))
+    if every:
+        state.validate()
+    return (state.t, phase_ends, samples), _degree_snapshot(state, src, rng)
+
+
+# the first runs end exactly at a block end (after round 8, 24 or 56), where a
+# driver that refilled eagerly would move the square stream past round-by-round play
+@example(n=5, k=1, l=2, circle=TIE_AVOID, square=TIE_LOWEST, loops="counts_two",
+         strategy="uniform_circle", stride=4, every=0, seed=1, explicit=False)
+@example(n=9, k=3, l=2, circle=TIE_UNIFORM, square=TIE_UNIFORM, loops="counts_one",
+         strategy="max_degree_circle", stride=0, every=12, seed=4, explicit=True)
+@example(n=16, k=3, l=3, circle=TIE_AVOID, square=TIE_LOWEST, loops="counts_two",
+         strategy="s0", stride=8, every=3, seed=5, explicit=False)
+@example(n=20, k=2, l=2, circle=TIE_UNIFORM, square=TIE_UNIFORM, loops="counts_one",
+         strategy="uniform_circle", stride=7, every=0, seed=44, explicit=True)
+@settings(max_examples=200)
+@given(n=st.integers(1, 40), k=st.integers(1, 4), l=st.integers(1, 3),
+       circle=st.sampled_from(CIRCLE_POLICIES), square=st.sampled_from(SQUARE_POLICIES),
+       loops=st.sampled_from(LOOP_POLICIES), strategy=st.sampled_from(list(MIN_DEGREE_STRATEGIES)),
+       stride=st.integers(0, 12), every=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+       explicit=st.booleans())
+def test_block_driver_matches_one_round_steps(n, k, l, circle, square, loops, strategy, stride,
+                                              every, seed, explicit):
+    cfg = ProcessConfig(n=n, k=k, seed=seed, tie_break=circle, square_tie_break=square,
+                        loop_degree=loops, debug=True)
+    runs = []
+    for blockwise in (True, False):
+        streams = trial_streams(seed, 0) if explicit else None
+        if blockwise:
+            trace, snapshot = _run_with_internals(cfg, l, strategy, stride, every, streams)
+            runs.append(((trace.rounds, trace.phase_ends, trace.samples), snapshot))
+        else:
+            runs.append(_run_round_by_round(cfg, l, strategy, stride, every, streams))
+    assert runs[0] == runs[1]
