@@ -8,13 +8,9 @@ drift systems that predict their scaled hitting times; and cross-validates
 simulation against those predictions.
 """
 
-from .process import (
-    GraphState,
-    ProcessConfig,
-    add_edge,
-    init_state,
-)
+from .process import GraphState, ProcessConfig, init_state
 from .rng import SquareSource, trial_rng, trial_streams
+from .strategies.mindeg import add_edge
 
 __version__ = "0.1.0"
 

@@ -116,10 +116,6 @@ class TrialSummary:
     completion: MeanReport  # completion rounds / n
     phase_means: list[float]
 
-    @property
-    def mean_rounds_per_n(self) -> float:
-        return self.main.mean
-
 
 def _run_one(spec: TrialSpec, index: int) -> TrialResult:
     cfg = spec.config()

@@ -4,7 +4,9 @@ The state tracks only per-vertex degrees (loops and parallel edges are
 legal) plus a degree-bucket index giving O(1) minimum-degree queries,
 constant-time per-degree counts and a cursor to the lowest-index vertex of
 minimum degree (no minimum-degree vertex lies below it).  Vertices are
-1-based ids ``1..n``.
+1-based ids ``1..n``.  This module builds, counts and validates the state;
+edges are added only by the degree target's round kernel
+(``strategies.mindeg``, whose ``add_edge`` is one round of it).
 """
 
 from __future__ import annotations
@@ -58,8 +60,9 @@ class DegreeBuckets:
     """Per-degree vertex lists on one shared position array.
 
     ``_lists[d]`` holds the degree-d vertices in packed order and ``pos[v]``
-    is v's slot there; ``move`` fills the leaving slot with the list's tail
-    and appends to the new list, so a class member is drawn by index in O(1).
+    is v's slot there.  The degree kernel moves a vertex by filling its
+    leaving slot with the list's tail and appending it to its new list, so a
+    class member is drawn by index in O(1).
 
     Degrees only grow, so ``min_nonempty`` and ``max_nonempty`` advance
     monotonically and, while the minimum degree m holds, its class only
@@ -85,31 +88,6 @@ class DegreeBuckets:
         while not self._lists[self.min_nonempty]:
             self.min_nonempty += 1
         self._lo = 1
-
-    def move(self, v: int, old: int, new: int) -> None:
-        lists = self._lists
-        pos = self.pos
-        left = lists[old]
-        last = left.pop()
-        if last != v:
-            i = pos[v]
-            left[i] = last
-            pos[last] = i
-        try:
-            lst = lists[new]
-        except IndexError:
-            lists.extend([] for _ in range(new + 1 - len(lists)))
-            lst = lists[new]
-        pos[v] = len(lst)
-        lst.append(v)
-        if new > self.max_nonempty:
-            self.max_nonempty = new
-        if not left and old == self.min_nonempty:
-            m = old + 1
-            while not lists[m]:
-                m += 1
-            self.min_nonempty = m
-            self._lo = 1
 
     def count(self, d: int) -> int:
         return len(self._lists[d]) if 0 <= d < len(self._lists) else 0
@@ -160,27 +138,4 @@ def state_from_degrees(config: ProcessConfig, degree: list[int], t: int) -> Grap
     """State with prescribed degrees (bulk construction for batched phases)."""
     state = GraphState(config, degree=degree)
     state.t = t
-    return state
-
-
-def add_edge(state: GraphState, u: int, v: int) -> GraphState:
-    """Add edge uv (loops and parallel edges allowed) and update buckets."""
-    deg = state.degree
-    b = state.buckets
-    state.t += 1
-    if u == v:
-        inc = 2 if state.config.loop_degree == LOOP_COUNTS_TWO else 1
-        d = deg[u]
-        deg[u] = d + inc
-        b.move(u, d, d + inc)
-    else:
-        d = deg[u]
-        deg[u] = d + 1
-        b.move(u, d, d + 1)
-        d = deg[v]
-        deg[v] = d + 1
-        b.move(v, d, d + 1)
-    if state.config.debug:
-        n = state.config.n
-        assert 1 <= u <= n and 1 <= v <= n
     return state

@@ -1,4 +1,4 @@
-"""Shared pieces of all player strategies: step outcome, run driver, streams."""
+"""Shared pieces of all player strategies: outcome, square ranking, run driver, streams."""
 
 from __future__ import annotations
 
@@ -21,6 +21,13 @@ class StepOutcome(NamedTuple):
     square: int
     circle: int
     changed: bool
+
+
+def classify(rank, label: list[int], squares) -> tuple[int, int]:
+    """(best ``rank[label[s]]``, index of the first square achieving it); rank 0 is best."""
+    ranks = [rank[label[s]] for s in squares]
+    best = min(ranks)
+    return best, ranks.index(best)
 
 
 def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):

@@ -32,12 +32,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from ..indexed import IndexedSet
-# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
-from ..process import ProcessConfig, add_edge  # noqa: F401
+from ..process import ProcessConfig
 from ..rng import SquareSource
-from .common import StepOutcome, play_blocks, trial_source
+from .common import StepOutcome, classify, play_blocks, trial_source
+# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
+from .mindeg import add_edge  # noqa: F401
 
 OFF_UNSAT = 0
 OFF_MATCHED = 1
@@ -216,11 +218,7 @@ class HamState:
         assert self.useless_count == 2 * r or not self.permissible
 
 
-def classify_ham(label: list[int], squares) -> tuple[int, int]:
-    """(best priority rank, index of the first square achieving it); rank 0 is best."""
-    ranks = [_RANK[label[s]] for s in squares]
-    best = min(ranks)
-    return best, ranks.index(best)
+classify_ham = partial(classify, _RANK)
 
 
 def _uncolour_red(h: HamState, x: int) -> None:

@@ -23,12 +23,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from ..indexed import IndexedSet
-# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
-from ..process import ProcessConfig, add_edge  # noqa: F401
+from ..process import ProcessConfig
 from ..rng import SquareSource
-from .common import StepOutcome, play_blocks, trial_source
+from .common import StepOutcome, classify, play_blocks, trial_source
+# the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
+from .mindeg import add_edge  # noqa: F401
 
 UNSAT = 0
 M_UNCOL = 1
@@ -116,11 +118,7 @@ class PMState:
                 assert lab[g] == M_GREEN and self.green_partner[g] == y
 
 
-def classify_pm(label: list[int], squares) -> tuple[int, int]:
-    """(best priority rank, index of the first square achieving it); rank 0 is best."""
-    ranks = [_RANK[label[s]] for s in squares]
-    best = min(ranks)
-    return best, ranks.index(best)
+classify_pm = partial(classify, _RANK)
 
 
 def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,

@@ -6,10 +6,10 @@ vertices, or the maximum-degree vertex) are provided for dominance
 experiments, and a two-phase sequential-circles algorithm plus the
 single-purpose greedy routines cover the large-parameter regimes.
 
-Every min-degree round, the one-round steps' included, is played by one
-kernel, ``_play_block``, with the degree state in locals, until the minimum
-degree rises or the round budget (next sample or check, or block end) runs
-out.  It makes round-by-round play's ``rng.integers`` calls in order and
+Every min-degree round, the one-round steps' and ``add_edge``'s included, is
+played by one kernel, ``_play_block``, with the degree state in locals,
+until the minimum degree rises or the round budget (next sample or check,
+or block end) runs out.  It makes round-by-round play's ``rng.integers`` calls in order and
 dispatches on the strategy name, its last argument, not on the
 ``MIN_DEGREE_STRATEGIES`` entry a profiler wraps.  Runs play it under
 ``play_blocks``, the driver of the builders' kernels too, which sets the
@@ -30,7 +30,6 @@ from ..process import (
     TIE_UNIFORM,
     LOOP_COUNTS_ONE,
     LOOP_COUNTS_TWO,
-    add_edge,  # noqa: F401 - nothing here calls it; the benchmark's tracer rebinds it
     init_state,
     state_from_degrees,
 )
@@ -62,14 +61,16 @@ def select_square_index(degree: list[int], squares: list[int], policy: str, rng)
 
 
 def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng,
-                strategy: str) -> tuple[int, int, int]:
+                strategy: str | int) -> tuple[int, int, int]:
     """The round kernel: play ``strategy`` off ``buf[i:end]`` (k offers a round) until
     the minimum degree rises; return (position, last square's offset, last circle).
+
+    A vertex id in place of a strategy name puts every circle on that vertex.
     """
     cfg = state.config
     n, debug = cfg.n, cfg.debug
     loop_inc = 2 if cfg.loop_degree == LOOP_COUNTS_TWO else 1
-    uniform_square = cfg.square_tie_break == TIE_UNIFORM
+    uniform_square = k > 1 and cfg.square_tie_break == TIE_UNIFORM  # a lone offer is its pick
     circle = cfg.tie_break if strategy == "s0" else strategy
     deg, b = state.degree, state.buckets
     lists, pos, m, mx, lo = b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo
@@ -90,7 +91,8 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
         u = buf[j]
         i += k
         # circle: the lowest minimum-degree vertex (off the square under TIE_AVOID while
-        # another exists), a uniform one, a uniform vertex, or the lowest maximum-degree one
+        # another exists), a uniform one, a uniform vertex, the lowest maximum-degree one,
+        # or the vertex given in the strategy slot
         if circle in (TIE_AVOID, TIE_LOWEST) or mx == m and circle == "max_degree_circle":
             while deg[lo] != m:
                 lo += 1
@@ -103,8 +105,10 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
             v = mins[rng.integers(len(mins))]
         elif circle == "uniform_circle":
             v = int(rng.integers(1, n + 1))
-        else:
+        elif circle == "max_degree_circle":
             v = min(lists[mx])
+        else:
+            v = circle
         assert not debug or 1 <= u <= n and 1 <= v <= n
         # edge uv: u, then v, moves up to the tail of its next degree list
         inc = loop_inc if u == v else 1
@@ -137,6 +141,12 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
     b._lo, b.max_nonempty = lo, mx
     state.t += (i - start) // k
     return i, j, v
+
+
+def add_edge(state: GraphState, u: int, v: int) -> GraphState:
+    """Add edge uv (loops and parallel edges allowed): one kernel round, u the only offer."""
+    _play_block(state, [u], 0, 1, 1, None, v)
+    return state
 
 
 def _one_round(state: GraphState, squares: list[int], rng, strategy: str, case: str):

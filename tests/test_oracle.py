@@ -12,6 +12,8 @@ from semirandom import ProcessConfig
 from semirandom.harness import chi_square_test, exact_small_oracle
 from semirandom.process import (
     CIRCLE_POLICIES,
+    LOOP_COUNTS_ONE,
+    LOOP_COUNTS_TWO,
     LOOP_POLICIES,
     SQUARE_POLICIES,
     TIE_LOWEST,
@@ -45,6 +47,17 @@ def test_policies_change_the_expectation():
     uniform = exact_small_oracle(4, 1, "min_degree", l=1, tie_break=TIE_UNIFORM)
     assert avoid.expectation < lowest.expectation
     assert avoid.expectation < uniform.expectation
+
+
+def test_counts_one_greedy_means_at_n3_k2_l2():
+    # Under counts_one a loop adds 1, so greedy's loop when the square is the
+    # unique minimum vertex gains less than an edge to another vertex below l
+    # would: a backward recursion over the count-state MDP puts the optimum
+    # at 28/9, below greedy's 292/81.
+    one = exact_small_oracle(3, 2, "min_degree", l=2, loop_degree=LOOP_COUNTS_ONE)
+    two = exact_small_oracle(3, 2, "min_degree", l=2, loop_degree=LOOP_COUNTS_TWO)
+    assert one.expectation == Fraction(292, 81)
+    assert two.expectation == Fraction(28, 9)
 
 
 def test_matching_n2_is_geometric():

@@ -87,6 +87,17 @@ def test_add_edge_basics():
     assert sum(state.degree) == 6  # three edges, handshake identity
 
 
+@pytest.mark.parametrize("u,v", [(0, 1), (1, 5)], ids=["square-0", "circle-n+1"])
+def test_debug_add_edge_checks_the_range_before_any_change(u, v):
+    state = init_state(ProcessConfig(n=4, k=1, debug=True))
+    add_edge(state, 2, 3)
+    before = list(state.degree), state.t
+    with pytest.raises(AssertionError):
+        add_edge(state, u, v)
+    assert (state.degree, state.t) == before
+    state.validate()
+
+
 def test_loop_conventions():
     state = init_state(ProcessConfig(n=2, k=1))
     add_edge(state, 1, 1)

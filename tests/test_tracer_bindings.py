@@ -9,7 +9,8 @@ does not collect, so this test installs and uninstalls the tracer here.
 import importlib
 from pathlib import Path
 
-from semirandom import rng
+import semirandom
+from semirandom import process, rng
 from semirandom.harness import oracle, trials
 from semirandom.ode import systems
 from semirandom.strategies import hamilton, matching, mindeg
@@ -48,3 +49,9 @@ def test_tracer_install_and_uninstall_restore_every_binding(monkeypatch):
         bound, after = before[id(owner)], _bindings(owner)
         assert after.keys() == bound.keys()
         assert all(after[name] is bound[name] for name in bound)
+
+
+def test_tracer_wraps_the_only_edge_rule():
+    # every module the tracer rebinds ``add_edge`` in holds the kernel's one-round call
+    assert semirandom.add_edge is mindeg.add_edge is matching.add_edge is hamilton.add_edge
+    assert not hasattr(process, "add_edge") and not hasattr(process.DegreeBuckets, "move")
