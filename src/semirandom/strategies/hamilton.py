@@ -10,22 +10,22 @@ is padded with arbitrary uncoloured path vertices up to twice the red
 count.  Squares are consumed greedily in the priority order: unsaturated,
 matched, green, permissible, (useless/red = pass).
 
-Each class lives in the label array; only the classes that are sampled or
-popped from also sit in an ``IndexedSet``, and the sizes the drift system
-reads are counters.  Every round, ``ham_step``'s included, is played by one
-kernel, ``_play_block``, straight off a ``SquareSource`` block with the
-labels, links and the sets' packed lists and position maps in locals.  It
-runs until the path reaches the stop length, the block ends or the caller's
-round budget (the next sample or check) runs out; ``play_blocks`` refills a
+Each class lives in the label array; the classes that are sampled or
+popped from also sit in packed lists on one position array, and the sizes
+the drift system reads are counters.  Every round, ``ham_step``'s included,
+is played by one kernel, ``_play_block``, straight off a ``SquareSource``
+block with the labels, links and packed lists in locals.  It runs until
+the path reaches the stop length, the block ends or the caller's round
+budget (the next sample or check) runs out; ``play_blocks`` refills a
 used-up block only when a round is about to be played, where
 ``next_round`` would.  Cases b, c and d end in one call of ``_settle``,
 which files the absorbed vertices (if any), uncolours the reds whose
 pending edge pointed at one of them, and refiles the vertices within path
-distance 2 of a change.  The set operations are written out in
-``IndexedSet``'s own order (swap the tail into the hole, pop the last
-slot), and so are the draws, because the packed orders decide every later
-sample and every vertex the padding moves pop: the runs are the ones
-round-by-round play gives.
+distance 2 of a change.  Every list operation (a leaving vertex's slot
+takes the tail, a pop takes the last slot) and every draw keeps a fixed
+order, because the packed orders decide every later sample and every
+vertex the padding moves pop: the runs are the ones round-by-round play
+gives.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..indexed import IndexedSet
 from ..process import ProcessConfig
 from ..rng import SquareSource
-from .common import StepOutcome, classify, play_blocks, trial_source
+from .common import StepOutcome, check_packed, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from .mindeg import add_edge  # noqa: F401
 
@@ -58,13 +57,15 @@ class HamState:
 
     ``label[v]`` is v's class.  The classes drawn from (``unsat``,
     ``matched``) or popped from (``permissible``, ``padding``) are also kept
-    as ``IndexedSet``s; ``padding`` holds the useless vertices that fill the
-    class up to twice the red count, and a useless vertex outside it is
-    structural (at path distance 2 from a red).  Four counters give the sizes
-    the strategy reads: ``X`` on-path vertices, ``R`` red, ``green_count``
-    green and ``useless_count`` useless, structural plus padded.  Debug
-    states count every played edge (square, circle), smaller end first, in
-    ``played``: the certificate ``verify_hamiltonian_cycle`` checks.
+    as packed lists.  A vertex is in at most one of them, the one its label
+    names, so one array gives its slot: ``pos[v]``, stale while v is in
+    none.  ``padding`` holds the useless vertices that fill the class up to
+    twice the red count, and a useless vertex outside it is structural (at
+    path distance 2 from a red).  Four counters give the sizes the strategy
+    reads: ``X`` on-path vertices, ``R`` red, ``green_count`` green and
+    ``useless_count`` useless, structural plus padded.  Debug states count
+    every played edge (square, circle), smaller end first, in ``played``:
+    the certificate ``verify_hamiltonian_cycle`` checks.
     """
 
     __slots__ = (
@@ -81,6 +82,7 @@ class HamState:
         "matched",
         "permissible",
         "padding",
+        "pos",
         "X",
         "R",
         "green_count",
@@ -101,10 +103,11 @@ class HamState:
         self.mate = [0] * (n + 1)
         self.red_target = [0] * (n + 1)
         self.red_at: dict[int, list[int]] = {}
-        self.unsat = IndexedSet(range(1, n + 1))
-        self.matched = IndexedSet()
-        self.permissible = IndexedSet()
-        self.padding = IndexedSet()
+        self.unsat = list(range(1, n + 1))
+        self.matched: list[int] = []
+        self.permissible: list[int] = []
+        self.padding: list[int] = []
+        self.pos = [0, *range(n)]
         self.X = 0
         self.R = 0
         self.green_count = 0
@@ -140,8 +143,8 @@ class HamState:
         n = self.n
         lab = self.label
         order = self.path_order()
-        pos = {v: i for i, v in enumerate(order)}
-        assert len(pos) == len(order), "path revisits a vertex"
+        at = {v: i for i, v in enumerate(order)}
+        assert len(at) == len(order), "path revisits a vertex"
         assert len(order) == self.X
         assert lab[0] == OFF_UNSAT and self.nxt[0] == self.prv[0] == 0, "slot 0 is a sentinel"
         for a, b in zip(order, order[1:]):
@@ -151,18 +154,23 @@ class HamState:
             assert self.head == order[0] and self.tail == order[-1]
         else:
             assert self.head == 0 and self.tail == 0
+        # packed lists: each slot's vertex has that slot and the list's label
+        for items, L in ((self.unsat, OFF_UNSAT), (self.matched, OFF_MATCHED),
+                         (self.permissible, PERMISSIBLE), (self.padding, USELESS)):
+            check_packed(items, self.pos, lab, L)
         # off-path vertices
         for v in range(1, n + 1):
             if lab[v] == OFF_UNSAT:
-                assert v in self.unsat and v not in pos
+                assert v not in at
                 assert self.mate[v] == 0
             elif lab[v] == OFF_MATCHED:
-                assert v in self.matched and v not in pos
+                assert v not in at
                 m = self.mate[v]
                 assert m and self.mate[m] == v and m != v and lab[m] == OFF_MATCHED
             else:
-                assert v in pos
+                assert v in at
         assert len(self.matched) % 2 == 0
+        # the lists hold only their own labels, so this lists every off-path vertex
         assert len(self.unsat) + len(self.matched) + self.X == n
         # red edges
         reds = []
@@ -181,13 +189,13 @@ class HamState:
             for x in rs:
                 assert lab[x] == RED and self.red_target[x] == z
         # red separation and rebuilt colour classes
-        red_pos = sorted(pos[v] for v in reds)
+        red_pos = sorted(at[v] for v in reds)
         for a, b in zip(red_pos, red_pos[1:]):
             assert b - a >= 3, "red vertices must sit at path distance >= 3"
         expect_green = set()
         expect_useless = set()
         for v in reds:
-            i = pos[v]
+            i = at[v]
             for j in (i - 1, i + 1):
                 if 0 <= j < len(order):
                     expect_green.add(order[j])
@@ -195,19 +203,19 @@ class HamState:
                 if 0 <= j < len(order):
                     expect_useless.add(order[j])
         expect_useless -= expect_green
-        for v in self.padding:
-            assert v in pos and v not in expect_green and v not in expect_useless
-            assert lab[v] != RED
+        padded = set(self.padding)
+        for v in padded:
+            assert v in at and v not in expect_green and v not in expect_useless
         permissible = 0
         for v in order:
             if lab[v] == RED:
                 continue
             elif v in expect_green:
                 assert lab[v] == GREEN
-            elif v in expect_useless or v in self.padding:
+            elif v in expect_useless or v in padded:
                 assert lab[v] == USELESS
             else:
-                assert lab[v] == PERMISSIBLE and v in self.permissible
+                assert lab[v] == PERMISSIBLE
                 permissible += 1
         assert permissible == len(self.permissible)
         assert self.green_count == len(expect_green)
@@ -231,9 +239,8 @@ def _uncolour_red(h: HamState, x: int) -> None:
     h.red_target[x] = 0
     h.R -= 1
     h.label[x] = PERMISSIBLE
-    perm = h.permissible  # permissible.add(x)
-    perm._pos[x] = len(perm._items)
-    perm._items.append(x)
+    h.pos[x] = len(h.permissible)
+    h.permissible.append(x)
 
 
 def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
@@ -262,19 +269,18 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
     read as not red, and the links are consistent, so the distance-2
     vertices are ``prv[prv[v]]`` and ``nxt[nxt[v]]``.
 
-    The set operations are ``IndexedSet``'s, written out on the packed lists,
-    and their order is load-bearing: it decides which vertex the padding
-    moves pop from then on.  So ``affected`` is a set filled in walk order
-    (each seed, its predecessors, its successors) and iterated as a set; a
-    list, a sorted or deduplicated copy or any other traversal changes the runs.
+    The order of the packed-list operations is load-bearing: it decides
+    which vertex the padding moves pop from then on.  So ``affected`` is a
+    set filled in walk order (each seed, its predecessors, its successors)
+    and iterated as a set; a list, a sorted or deduplicated copy or any
+    other traversal changes the runs.
     """
-    lab, prv, nxt = h.label, h.prv, h.nxt
-    perm, ppos = h.permissible._items, h.permissible._pos
-    pad, dpos = h.padding._items, h.padding._pos
+    lab, prv, nxt, pos = h.label, h.prv, h.nxt, h.pos
+    perm, pad = h.permissible, h.padding
     dead: list[int] = []
     for w in absorbed:
         lab[w] = PERMISSIBLE
-        ppos[w] = len(perm)
+        pos[w] = len(perm)
         perm.append(w)
         dead += h.red_at.get(w, ())
     h.X += len(absorbed)
@@ -307,23 +313,23 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
             new = GREEN
         elif lab[prv[p]] == RED or lab[nxt[q]] == RED:
             new = USELESS
-        elif L == PERMISSIBLE or v in dpos:
+        elif L == PERMISSIBLE or (pos[v] < len(pad) and pad[pos[v]] == v):
             continue  # padding stays useless by choice
         else:
             new = PERMISSIBLE
-        if L == PERMISSIBLE:  # permissible.discard(v)
-            j = ppos.pop(v)
+        if L == PERMISSIBLE:  # take v out of the permissible list
+            j = pos[v]
             last = perm.pop()
             if last != v:
                 perm[j] = last
-                ppos[last] = j
-        elif L == USELESS:  # padding.discard(v): a padded vertex turns structural
-            j = dpos.pop(v, None)
-            if j is not None:
+                pos[last] = j
+        elif L == USELESS:  # a padded vertex turns structural: take it out of the padding
+            j = pos[v]
+            if j < len(pad) and pad[j] == v:
                 last = pad.pop()
                 if last != v:
                     pad[j] = last
-                    dpos[last] = j
+                    pos[last] = j
             if new == USELESS:
                 continue
             n_useless -= 1
@@ -333,23 +339,21 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
             n_green += 1
         elif new == USELESS:
             n_useless += 1
-        else:  # permissible.add(v)
-            ppos[v] = len(perm)
+        else:
+            pos[v] = len(perm)
             perm.append(v)
         lab[v] = new
     target = 2 * h.R
-    while n_useless > target and pad:  # padding: pop the last packed slot; permissible.add
+    while n_useless > target and pad:  # the last padded vertex turns permissible
         v = pad.pop()
-        del dpos[v]
         lab[v] = PERMISSIBLE
-        ppos[v] = len(perm)
+        pos[v] = len(perm)
         perm.append(v)
         n_useless -= 1
-    while n_useless < target and perm:  # permissible: pop the last packed slot; padding.add
+    while n_useless < target and perm:  # the last permissible vertex joins the padding
         v = perm.pop()
-        del ppos[v]
         lab[v] = USELESS
-        dpos[v] = len(pad)
+        pos[v] = len(pad)
         pad.append(v)
         n_useless += 1
     h.green_count, h.useless_count = n_green, n_useless
@@ -363,10 +367,8 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
     """
     n, debug, played = h.n, h.debug, h.played
     lab, nxt, prv, mate = h.label, h.nxt, h.prv, h.mate
-    red_target, red_at = h.red_target, h.red_at
-    uitems, upos = h.unsat._items, h.unsat._pos
-    mitems, mpos = h.matched._items, h.matched._pos
-    perm, ppos = h.permissible._items, h.permissible._pos
+    red_target, red_at, pos = h.red_target, h.red_at, h.pos
+    uitems, mitems, perm = h.unsat, h.matched, h.permissible
     rank_of = _RANK
     rank = j = v = 0
     while i < end and h.X < cut:
@@ -389,23 +391,23 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
                 lab[v] = OFF_MATCHED
                 mate[u] = v
                 mate[v] = u
-                for w in (u, v):  # unsat.discard(w)
-                    p = upos.pop(w)
+                for w in (u, v):  # take w out of the unsaturated list
+                    p = pos[w]
                     last = uitems.pop()
                     if last != w:
                         uitems[p] = last
-                        upos[last] = p
-                for w in (u, v):  # matched.add(w)
-                    mpos[w] = len(mitems)
+                        pos[last] = p
+                for w in (u, v):  # append w to the matched list
+                    pos[w] = len(mitems)
                     mitems.append(w)
         elif rank == 1:  # append u and its mate at the tail
             m = mate[u]
-            for w in (u, m):  # matched.discard(w)
-                p = mpos.pop(w)
+            for w in (u, m):  # take w out of the matched list
+                p = pos[w]
                 last = mitems.pop()
                 if last != w:
                     mitems[p] = last
-                    mpos[last] = p
+                    pos[last] = p
             mate[u] = 0
             mate[m] = 0
             tail = h.tail
@@ -430,16 +432,16 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
                 v = z
                 absorbed: tuple[int, ...] = (z,)
                 chain = absorbed
-                items, pos = uitems, upos
+                items = uitems
             else:
                 v = mate[z]
                 mate[z] = 0
                 mate[v] = 0
                 absorbed = (z, v)
                 chain = (v, z)
-                items, pos = mitems, mpos
-            for w in absorbed:  # unsat.discard(z), or matched.discard(z), then its mate
-                p = pos.pop(w)
+                items = mitems
+            for w in absorbed:  # take z, or z then its mate, out of its list
+                p = pos[w]
                 last = items.pop()
                 if last != w:
                     items[p] = last
@@ -452,11 +454,11 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
             assert nm + nu > 0, "an incomplete path leaves off-path vertices"
             x = int(rng.integers(nm + nu))
             v = mitems[x] if x < nm else uitems[x - nm]
-            p = ppos.pop(u)  # permissible.discard(u)
+            p = pos[u]  # take u out of the permissible list
             last = perm.pop()
             if last != u:
                 perm[p] = last
-                ppos[last] = p
+                pos[last] = p
             lab[u] = RED
             h.R += 1
             red_target[u] = v
@@ -472,10 +474,12 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
 
 def ham_step(h: HamState, squares: list[int], rng) -> StepOutcome:
     """Play one round through the kernel; mutates ``h`` and reports the chosen edge."""
-    X, Y = h.X, len(h.matched)
+    if h.X == h.n:
+        raise ValueError("the path already spans every vertex; the run is over")
+    X, Y = h.X, h.Y
     _, rank, j, v = _play_block(h, squares, 0, len(squares), len(squares), rng, h.n + 1)
     case = "c'" if rank == 2 and h.X == X + 1 else _CASE_OF_RANK[rank]
-    changed = 0 < rank < 4 or len(h.matched) > Y
+    changed = 0 < rank < 4 or h.Y > Y
     return StepOutcome(case, j + 1, squares[j], v, changed)
 
 

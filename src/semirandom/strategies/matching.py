@@ -6,17 +6,16 @@ is red; a square on a red vertex triggers an augmentation along the pending
 edge.  Squares are consumed greedily in the priority order: unsaturated,
 red, uncoloured, green (pass).
 
-Every round, ``pm_step``'s included, is played by one kernel,
-``_play_block``, straight off a ``SquareSource`` block with the labels,
-mates, pending edges and the unsaturated set's packed list and position map
-in locals.
-It runs until the stop count, the end of the block or the caller's round
-budget (the next sample or check); ``play_blocks`` refills a used-up block
-only when a round is about to be played, where ``next_round`` would.  The
-set operations are written out in ``IndexedSet``'s own order (swap the tail
-into the hole), and so are the draws (the pass case's unused circle draw
-included), so the packed order, and with it every later sample, is the one
-round-by-round play leaves.
+The unsaturated vertices sit in a packed list, ``pos[v]`` giving v's slot,
+and partners are drawn by index into it.  Every round, ``pm_step``'s
+included, is played by one kernel, ``_play_block``, straight off a
+``SquareSource`` block with the labels, mates, pending edges and the packed
+list in locals.  It runs until the stop count, the end of the block or the
+caller's round budget (the next sample or check); ``play_blocks`` refills a
+used-up block only when a round is about to be played, where ``next_round``
+would.  A leaving vertex's slot takes the list's tail, and the draws (the
+pass case's unused circle draw included) are fixed, so the packed order,
+and with it every later sample, is the one round-by-round play leaves.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..indexed import IndexedSet
 from ..process import ProcessConfig
 from ..rng import SquareSource
-from .common import StepOutcome, classify, play_blocks, trial_source
+from .common import StepOutcome, check_packed, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from .mindeg import add_edge  # noqa: F401
 
@@ -47,13 +45,15 @@ class PMState:
 
     ``green_partner[g]`` is the unsaturated endpoint of g's pending edge;
     ``green_at[v]`` lists the green vertices whose pending edge targets the
-    unsaturated vertex v (several pending edges may share a target).  Debug
-    states count every played edge (square, circle), smaller end first, in
-    ``played``: the certificate ``verify_perfect_matching`` checks.
+    unsaturated vertex v (several pending edges may share a target).
+    ``unsat`` packs the unsaturated vertices and ``pos[v]`` is v's slot there
+    (stale once v is matched).  Debug states count every played edge
+    (square, circle), smaller end first, in ``played``: the certificate
+    ``verify_perfect_matching`` checks.
     """
 
-    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "R", "debug",
-                 "played")
+    __slots__ = ("n", "label", "mate", "green_partner", "green_at", "unsat", "pos", "R",
+                 "debug", "played")
 
     def __init__(self, n: int, debug: bool = False):
         if n < 1:
@@ -63,7 +63,8 @@ class PMState:
         self.mate = [0] * (n + 1)
         self.green_partner = [0] * (n + 1)
         self.green_at: dict[int, list[int]] = {}
-        self.unsat = IndexedSet(range(1, n + 1))
+        self.unsat = list(range(1, n + 1))
+        self.pos = [0, *range(n)]
         self.R = 0
         self.debug = debug
         self.played = Counter() if debug else None
@@ -78,7 +79,6 @@ class PMState:
 
     def check_quick(self) -> None:
         """O(1) identities kept after every step in debug mode."""
-        assert self.X + self.U == self.n
         assert self.X % 2 == 0, "saturated vertices come in matched pairs"
         assert 0 <= self.R <= self.X // 2
 
@@ -87,13 +87,13 @@ class PMState:
         n = self.n
         lab = self.label
         n_green = n_red = 0
+        check_packed(self.unsat, self.pos, lab, UNSAT)
+        assert len(self.unsat) == lab[1:].count(UNSAT), "an unsaturated vertex is not listed"
         for v in range(1, n + 1):
             L = lab[v]
             if L == UNSAT:
-                assert v in self.unsat
                 assert self.mate[v] == 0
             else:
-                assert v not in self.unsat
                 m = self.mate[v]
                 assert 1 <= m <= n and self.mate[m] == v and m != v
                 if L == M_GREEN:
@@ -131,7 +131,7 @@ def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,
     """
     n, debug, played = pm.n, pm.debug, pm.played
     lab, mate, partner, green_at = pm.label, pm.mate, pm.green_partner, pm.green_at
-    items, pos = pm.unsat._items, pm.unsat._pos
+    items, pos = pm.unsat, pm.pos
     rank_of = _RANK
     R = pm.R
     rank = j = v = 0
@@ -182,8 +182,8 @@ def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,
                     lab[v] = M_UNCOL
                     mate[u] = v
                     mate[v] = u
-                    for w in (y, v):  # unsat.discard(w)
-                        p = pos.pop(w)
+                    for w in (y, v):  # take w out of the unsaturated list
+                        p = pos[w]
                         last = items.pop()
                         if last != w:
                             items[p] = last
@@ -206,7 +206,7 @@ def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,
 
 def pm_step(pm: PMState, squares: list[int], rng) -> StepOutcome:
     """Play one round through the kernel; mutates ``pm`` and reports the chosen edge."""
-    unsat = pm.unsat._items
+    unsat = pm.unsat
     if not unsat:
         raise ValueError("matching already perfect; the run is over")
     before = len(unsat)
@@ -273,8 +273,7 @@ def pm_completion(pm: PMState, src: SquareSource, rng, t: int = 0, **hooks) -> i
     """
     if pm.n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    unsat = pm.unsat._items
-    extra = play_blocks(_play_block, pm, src, rng, 0, lambda: not unsat, t=t, **hooks) - t
+    extra = play_blocks(_play_block, pm, src, rng, 0, lambda: not pm.unsat, t=t, **hooks) - t
     verify_perfect_matching(pm)
     return extra
 
@@ -324,9 +323,7 @@ def pm_run(
         check=pm.validate,
         check_every=validate_every,
     )
-    unsat = pm.unsat._items
-    threshold_round = play_blocks(_play_block, pm, src, rng_ch, cut,
-                                  lambda: len(unsat) <= cut, **hooks)
+    threshold_round = play_blocks(_play_block, pm, src, rng_ch, cut, lambda: pm.U <= cut, **hooks)
     completion = pm_completion(pm, src, rng_ch, threshold_round, **hooks) if complete else 0
     if validate_every:
         pm.validate()

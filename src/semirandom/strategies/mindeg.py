@@ -33,7 +33,6 @@ from ..process import (
     init_state,
     state_from_degrees,
 )
-from ..indexed import IndexedSet
 from ..rng import SquareSource, trial_streams
 from .common import StepOutcome, play_blocks, trial_source
 
@@ -331,32 +330,37 @@ def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:
     """Match an unsaturated square with a random unsaturated partner,
     whenever one is offered, for exactly n/2 rounds.
 
-    The partner is uniform over all unsaturated vertices, so a self-hit
-    wastes the round; rounds with no unsaturated square pass.  Returns the
-    number of unsaturated vertices left after n/2 rounds.
+    The partner is drawn uniformly, by index into a packed list of all
+    unsaturated vertices (``pos[v]`` is v's slot), so a self-hit wastes the
+    round; rounds with no unsaturated square pass.  Returns the number of
+    unsaturated vertices left after n/2 rounds.
     """
     config.validate()
     n = config.n
     if n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    unsat = IndexedSet(range(1, n + 1))
+    unsat = list(range(1, n + 1))
+    pos = [0, *range(n)]
     src, rng_ch = trial_source(config, trial_index)
-    contains = unsat.__contains__
     for _ in range(n // 2):
         squares = src.next_round()
         if not unsat:
             continue
         u = 0
         for s in squares:
-            if contains(s):
+            if pos[s] < len(unsat) and unsat[pos[s]] == s:
                 u = s
                 break
         if not u:
             continue
-        v = unsat.sample(rng_ch)
+        v = unsat[rng_ch.integers(len(unsat))]
         if v != u:
-            unsat.discard(u)
-            unsat.discard(v)
+            for w in (u, v):  # take w out of the list; the tail fills its slot
+                p = pos[w]
+                last = unsat.pop()
+                if last != w:
+                    unsat[p] = last
+                    pos[last] = p
     return len(unsat)
 
 
@@ -364,22 +368,22 @@ def greedy_ham_path(config: ProcessConfig, trial_index: int = 0) -> int:
     """Extend a path whenever a square lands off it, for n rounds.
 
     Returns the number of off-path vertices after n rounds.  The first
-    extension joins two off-path vertices; later ones append the square to
-    an endpoint.
+    extension joins two off-path vertices, drawn from a packed list as in
+    ``greedy_pm_large_k``; later ones append the square to an endpoint.
     """
     config.validate()
     n = config.n
-    off = IndexedSet(range(1, n + 1))
+    off = list(range(1, n + 1))
+    pos = [0, *range(n)]
     tail = 0
     src, rng_ch = trial_source(config, trial_index)
-    contains = off.__contains__
     for _ in range(n):
         squares = src.next_round()
         if not off:
             continue
         u = 0
         for s in squares:
-            if contains(s):
+            if pos[s] < len(off) and off[pos[s]] == s:
                 u = s
                 break
         if not u:
@@ -387,13 +391,17 @@ def greedy_ham_path(config: ProcessConfig, trial_index: int = 0) -> int:
         if tail == 0:
             if len(off) == 1:
                 continue  # a path needs two vertices
-            v = off.sample(rng_ch)
+            v = off[rng_ch.integers(len(off))]
             while v == u:
-                v = off.sample(rng_ch)
-            off.discard(u)
-            off.discard(v)
-            tail = u
+                v = off[rng_ch.integers(len(off))]
+            joined: tuple[int, ...] = (u, v)
         else:
-            off.discard(u)
-            tail = u
+            joined = (u,)
+        for w in joined:  # take w out of the list; the tail fills its slot
+            p = pos[w]
+            last = off.pop()
+            if last != w:
+                off[p] = last
+                pos[last] = p
+        tail = u
     return len(off)

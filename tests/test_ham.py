@@ -26,6 +26,8 @@ from semirandom.strategies import (
 from semirandom.strategies import hamilton
 from semirandom.strategies.common import play_blocks
 
+from conftest import move
+
 
 def build_path(n, path, matched=(), reds=()):
     """HamState with an explicit path, matched pairs, and red targets.  The
@@ -35,9 +37,8 @@ def build_path(n, path, matched=(), reds=()):
     for a, b in (*zip(path, path[1:]), *matched, *reds):
         h.played[min(a, b), max(a, b)] += 1
     for v in path:
-        h.unsat.discard(v)
+        move(h, v, h.unsat, h.permissible)
         h.label[v] = PERMISSIBLE
-        h.permissible.add(v)
     for a, b in zip(path, path[1:]):
         h.nxt[a] = b
         h.prv[b] = a
@@ -45,17 +46,15 @@ def build_path(n, path, matched=(), reds=()):
         h.head = path[0]
         h.tail = path[-1]
     for a, b in matched:
-        h.unsat.discard(a)
-        h.unsat.discard(b)
+        move(h, a, h.unsat, h.matched)
+        move(h, b, h.unsat, h.matched)
         h.label[a] = OFF_MATCHED
         h.label[b] = OFF_MATCHED
         h.mate[a] = b
         h.mate[b] = a
-        h.matched.add(a)
-        h.matched.add(b)
     h.X = len(path)
     for x, z in reds:
-        h.permissible.discard(x)
+        move(h, x, h.permissible)
         h.label[x] = RED
         h.R += 1
         h.red_target[x] = z
@@ -162,6 +161,44 @@ def test_pass_case(scripted_rng):
     out = ham_step(h, [1, 3], scripted_rng([0]))  # useless and red squares only
     assert out.case == "e" and not out.changed
     h.validate()
+
+
+def test_step_rejects_a_path_that_spans_every_vertex():
+    n = 6
+    h = HamState(n)
+    rng_sq, rng_ch = trial_streams(3)
+    src = SquareSource(n, 1, rng_sq)
+    while h.X < n:
+        ham_step(h, src.next_round(), rng_ch)
+    for v in range(1, n + 1):
+        with pytest.raises(ValueError, match="the run is over"):
+            ham_step(h, [v], rng_ch)
+    h.validate()
+
+
+def _swap_first(a, b):
+    a[0], b[0] = b[0], a[0]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda h: h.permissible.__setitem__(0, 3), id="wrong-vertex-in-slot"),
+        pytest.param(lambda h: h.pos.__setitem__(5, 0), id="stale-pos"),
+        pytest.param(lambda h: _swap_first(h.unsat, h.matched), id="vertices-in-wrong-lists"),
+        pytest.param(lambda h: h.padding.append(5), id="vertex-in-two-lists"),
+        pytest.param(lambda h: h.unsat.append(9), id="vertex-listed-twice"),
+        pytest.param(lambda h: h.matched.pop(), id="matched-vertex-missing"),
+        pytest.param(lambda h: h.padding.pop(), id="padded-vertex-missing"),
+    ],
+)
+def test_validate_catches_each_corruption(corrupt):
+    # red 1, green 2, structural useless 3; lists: unsaturated [9], matched
+    # [7, 8], permissible [6, 5], padding [4]
+    h = build_path(9, [1, 2, 3, 4, 5, 6], matched=[(7, 8)], reds=[(1, 9)])
+    corrupt(h)
+    with pytest.raises(AssertionError):
+        h.validate()
 
 
 def test_case_probabilities_examples():

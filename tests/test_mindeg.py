@@ -236,8 +236,9 @@ def _trace_digest(traces) -> str:
 # sha256 prefixes of repr([(rounds, phase_ends, samples), ...]): per strategy
 # and k, one debug run per circle x square x loop policy (in that nesting
 # order, validated periodically); two consecutive runs on one explicit stream
-# pair, which also pins how far each run advances the square generator; and
-# (total, phase 1, phase 2) rounds of two-phase runs
+# pair, which also pins how far each run advances the square generator;
+# (total, phase 1, phase 2) rounds of two-phase runs; and the vertices the
+# greedy matching and greedy path leave uncovered, two runs per k
 PINNED_MINDEG_TRACES = {
     ("s0", 1): "e61c52c61a4db51d",
     ("s0", 3): "f09b376d6c52b667",
@@ -249,6 +250,12 @@ PINNED_MINDEG_TRACES = {
     ("two_phase", 1): ((2211, 1500, 711), (2282, 1500, 782)),
     ("two_phase", 2): ((3834, 3000, 834), (3925, 3000, 925)),
     ("two_phase", 4): ((7193, 6000, 1193), (7330, 6000, 1330)),
+    ("greedy_pm", 1): (716, 722),
+    ("greedy_pm", 3): (352, 370),
+    ("greedy_pm", 8): (176, 148),
+    ("greedy_path", 1): (741, 721),
+    ("greedy_path", 3): (355, 361),
+    ("greedy_path", 8): (160, 157),
 }
 
 
@@ -283,6 +290,11 @@ def _seeded_traces() -> dict:
             (tr.total_rounds, tr.phase1_rounds, tr.phase2_rounds)
             for tr in (two_phase_mindeg(uniform, l, trial_index=3), two_phase_mindeg(default, l))
         )
+    for k in (1, 3, 8):
+        runs = ((ProcessConfig(n=2000, k=k, seed=60 + k), 0),
+                (ProcessConfig(n=2000, k=k, seed=70 + k), 2))
+        got["greedy_pm", k] = tuple(greedy_pm_large_k(cfg, trial_index=i) for cfg, i in runs)
+        got["greedy_path", k] = tuple(greedy_ham_path(cfg, trial_index=i) for cfg, i in runs)
     return got
 
 

@@ -27,6 +27,8 @@ from semirandom.ode import solve_pm
 from semirandom.strategies import matching
 from semirandom.strategies.common import play_blocks
 
+from conftest import move
+
 
 def build_pm(n, pairs, coloured=(), unsat_targets=None):
     """PMState with given matched pairs; ``coloured[i]`` marks pair i as a
@@ -39,8 +41,8 @@ def build_pm(n, pairs, coloured=(), unsat_targets=None):
         pm.label[b] = M_UNCOL
         pm.mate[a] = b
         pm.mate[b] = a
-        pm.unsat.discard(a)
-        pm.unsat.discard(b)
+        move(pm, a, pm.unsat)
+        move(pm, b, pm.unsat)
     for idx, i in enumerate(coloured):
         g, r = pairs[i]
         y = unsat_targets[idx]
@@ -126,6 +128,25 @@ def test_step_rejects_completed_state():
     pm = build_pm(2, [(1, 2)])
     with pytest.raises(ValueError):
         pm_step(pm, [1], trial_rng(0))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda pm: pm.unsat.__setitem__(0, 0), id="sentinel-in-slot"),
+        pytest.param(lambda pm: pm.unsat.__setitem__(0, 1), id="matched-vertex-in-slot"),
+        pytest.param(lambda pm: pm.pos.__setitem__(3, 0), id="stale-pos"),
+        pytest.param(lambda pm: pm.unsat.append(6), id="vertex-listed-twice"),
+        pytest.param(lambda pm: (pm.pos.__setitem__(1, 4), pm.unsat.append(1)),
+                     id="matched-vertex-listed"),
+        pytest.param(lambda pm: pm.unsat.pop(), id="unsaturated-vertex-missing"),
+    ],
+)
+def test_validate_catches_each_corruption(corrupt):
+    pm = build_pm(6, [(1, 2)])  # unsaturated list [6, 5, 3, 4]
+    corrupt(pm)
+    with pytest.raises(AssertionError):
+        pm.validate()
 
 
 def test_pass_case_keeps_state(scripted_rng):

@@ -12,7 +12,6 @@ from semirandom import (
     trial_rng,
     trial_streams,
 )
-from semirandom.indexed import IndexedSet
 from semirandom.process import LOOP_COUNTS_ONE, LOOP_POLICIES, state_from_degrees
 
 
@@ -156,20 +155,25 @@ def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
     cfg = ProcessConfig(n=n, k=1, loop_degree=loop_degree)
     state = init_state(cfg) if fresh else state_from_degrees(cfg, [0, *degrees], t=0)
     b = state.buckets
-    # one IndexedSet per degree, fed the same discards and adds as the buckets
+    # one list per degree, fed the same moves as the buckets: a leaving
+    # vertex's slot takes the list's tail, an arriving vertex is appended
     ref = {}
     for v in range(1, n + 1):
-        ref.setdefault(state.degree[v], IndexedSet()).add(v)
+        ref.setdefault(state.degree[v], []).append(v)
     for a, c in edges:
         u, v = a % n + 1, c % n + 1
         for w, old, new in _moves(state, u, v):
-            ref[old].discard(w)
-            ref.setdefault(new, IndexedSet()).add(w)
+            left = ref[old]
+            i = left.index(w)
+            last = left.pop()
+            if last != w:
+                left[i] = last
+            ref.setdefault(new, []).append(w)
         add_edge(state, u, v)
         for d in range(max(state.degree) + 3):
             members = [w for w in range(1, n + 1) if state.degree[w] == d]
             assert b.count(d) == len(members)
-            assert b._lists[d] == list(ref[d]) if d in ref else not members
+            assert b._lists[d] == ref[d] if d in ref else not members
         b.validate()  # includes the cursor invariant
 
 
