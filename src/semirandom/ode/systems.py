@@ -116,8 +116,8 @@ class PhaseSolution:
 
     ``grid_y`` holds one row per tracked coordinate on the uniform grid
     ``grid_s``; retired minimum-degree coordinates are zero-filled.
-    ``n_steps`` and ``n_rhs`` count accepted steps and drift evaluations,
-    summed over the phases.
+    ``n_steps``, ``n_rejected`` and ``n_rhs`` count accepted steps,
+    rejected trial steps and drift evaluations, summed over the phases.
     """
 
     property: str
@@ -130,6 +130,7 @@ class PhaseSolution:
     grid_y: list[list[float]] = field(repr=False, default_factory=list)
     n_steps: int = 0
     n_rhs: int = 0
+    n_rejected: int = 0
 
     def coordinate(self, label: str) -> list[float]:
         return self.grid_y[self.labels.index(label)]
@@ -152,6 +153,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     grid_y: list[list[float]] = [[] for _ in range(l)]
     total_steps = 0
     total_rhs = 0
+    total_rejected = 0
     for q in range(l):
         system = OdeSystem(
             dim=l - q,
@@ -161,6 +163,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         res = integrate(system, cfg, y, s_budget=s + 5.0, s0=s)
         total_steps += res.n_steps
         total_rhs += res.n_rhs
+        total_rejected += res.n_rejected
         if res.status != "event":
             raise OdeFailure(
                 f"phase {q} of the degree system (k={k}, l={l}) ended without "
@@ -187,6 +190,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         grid_y=grid_y,
         n_steps=total_steps,
         n_rhs=total_rhs,
+        n_rejected=total_rejected,
     )
     if sol.constant < l / 2:
         raise OdeFailure(f"degree constant {sol.constant} below the trivial bound {l/2}")
@@ -225,6 +229,7 @@ def _solve_stop(
         grid_y=[[row[i] for row in res.dense_y] for i in range(dim)],
         n_steps=res.n_steps,
         n_rhs=res.n_rhs,
+        n_rejected=res.n_rejected,
     )
 
 

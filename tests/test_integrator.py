@@ -81,6 +81,43 @@ def test_step_limit_reported():
     assert "step limit" in res.message
 
 
+def test_step_limit_does_not_rely_on_the_step_cap():
+    # uncapped, rtol alone needs far more than five steps to go half round
+    # the unit circle
+    cfg = IntegratorConfig(max_step=math.inf, max_steps=5)
+    system = OdeSystem(dim=2, drift=lambda s, y: [-y[1], y[0]])
+    res = integrate(system, cfg, [1.0, 0.0], s_budget=math.pi)
+    assert res.status == "failed"
+    assert "step limit" in res.message
+    assert res.n_steps + res.n_rejected == 5
+
+
+def _guarded_after_start(s, y):
+    if s > 0.0:
+        raise DomainGuard("no admissible extension")
+    return [1.0]
+
+
+@pytest.mark.parametrize(
+    "drift",
+    # a jump right after the start fails every error test; a guard right
+    # after the start halves every trial step
+    [lambda s, y: [0.0 if s == 0.0 else 1e6], _guarded_after_start],
+    ids=["error", "guard"],
+)
+def test_rejected_steps_count_toward_the_step_limit(drift):
+    # every trial step is rejected, and the step size would take more than
+    # five rejections to underflow
+    cfg = IntegratorConfig(max_steps=5)
+    system = OdeSystem(dim=1, drift=drift)
+    res = integrate(system, cfg, [0.0], s_budget=1.0)
+    assert res.status == "failed"
+    assert "step limit" in res.message
+    assert (res.n_steps, res.n_rejected) == (0, 5)
+    assert res.n_rhs <= 6 * cfg.max_steps + 1 == 31
+    assert "underflow" in integrate(system, IntegratorConfig(), [0.0], s_budget=1.0).message
+
+
 def test_rejects_bad_config_and_dimension():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0).validated()

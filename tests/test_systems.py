@@ -205,24 +205,56 @@ def rhs_counts(monkeypatch):
     return counts
 
 
+def test_old_step_cap_gives_the_same_constants(rhs_counts):
+    # the step cap of 1e-3, which set the step count before rtol did: every
+    # constant agrees to 1e-9, and every integration costs fewer RHS evaluations
+    old_cap = IntegratorConfig(max_step=1e-3)
+    for args in (("min_degree", range(1, 4), range(1, 4)),
+                 ("perfect_matching", range(1, 4)),
+                 ("hamilton_cycle", range(1, 4))):
+        rhs_counts.clear()
+        old = emit_tables(*args, cfg=old_cap)
+        old_rhs = list(rhs_counts)
+        rhs_counts.clear()
+        new = emit_tables(*args)
+        assert [dataclasses.replace(r, constant=0.0) for r in new] == [
+            dataclasses.replace(r, constant=0.0) for r in old
+        ]
+        assert max(abs(a.constant - b.constant) for a, b in zip(old, new)) <= 1e-9, args
+        assert len(rhs_counts) == len(old_rhs)
+        assert all(n < o for n, o in zip(rhs_counts, old_rhs)), (args, rhs_counts, old_rhs)
+
+
 # solver, arguments, then the pins: constant repr, accepted steps, RHS
 # evaluations, sha256 prefix of repr(grid_y)
 SOLVE_PINS = [
-    (solve_min_degree, (3, 2), "1.090808981217813", 1096, 6668, "c1b92e7d0e4f0611"),
-    (solve_pm, (1,), "1.2769438135038105", 1556, 9475, "f8c969efd240f15f"),
-    (solve_pm, (2, 1e-3), "0.9066317099394485", 920, 5521, "fc2c698bc3533684"),
-    (solve_ham, (2,), "1.39615156959592", 1595, 9571, "e8afb507f7848b2f"),
+    (solve_min_degree, (3, 2), "1.0908089812188027", 118, 830, "651f152ddfbb93f8"),
+    (solve_pm, (1,), "1.2769438126973536", 558, 3535, "63c7a20065d74a5d"),
+    (solve_pm, (2, 1e-3), "0.9066317099378278", 218, 1309, "4ce9c6347f1b7a99"),
+    (solve_ham, (2,), "1.396151569595812", 471, 2827, "c3a7fec92530e79b"),
+]
+# the same solves under the old step cap of 1e-3: constant repr, accepted
+# steps, RHS evaluations
+OLD_CAP_PINS = [
+    ("1.090808981217813", 1096, 6668),
+    ("1.2769438135038105", 1556, 9475),
+    ("0.9066317099394485", 920, 5521),
+    ("1.39615156959592", 1595, 9571),
 ]
 
 
 def test_solves_are_bit_pinned(rhs_counts):
     # a change to the stepper's arithmetic must not move a single bit
-    for solver, args, *pins in SOLVE_PINS:
+    for (solver, args, *pins), (old_constant, old_steps, old_rhs) in zip(
+        SOLVE_PINS, OLD_CAP_PINS
+    ):
         rhs_counts.clear()
         sol = solver(*args)
         grid_hash = hashlib.sha256(repr(sol.grid_y).encode()).hexdigest()[:16]
         got = [repr(sol.constant), sol.n_steps, sum(rhs_counts), grid_hash]
         assert got == pins, (solver.__name__, args)
+        assert abs(sol.constant - float(old_constant)) <= 1e-9, (solver.__name__, args)
+        assert sol.n_steps < old_steps and sum(rhs_counts) < old_rhs, (solver.__name__, args)
     for args in (("min_degree", range(1, 3), range(1, 3)),
                  ("perfect_matching", range(1, 3)),
                  ("hamilton_cycle", range(1, 3))):
