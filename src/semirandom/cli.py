@@ -4,6 +4,7 @@ Subcommands: ``ode-table`` (constant grids), ``simulate`` (Monte Carlo
 trials), ``compare`` (simulation vs solved trajectory), ``oracle`` (exact
 small-instance expectations), ``dominance`` (paired strategy comparison).
 Exit codes: 0 success, 1 validation error, 2 numerical failure.
+``--verbose`` logs each subcommand's wall time at INFO.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import os
 import re
 import sys
+import time
 
 from .harness import (
     PROP_HAM,
@@ -246,7 +248,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.verbose:
             level = "INFO"
         logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-        return _COMMANDS[args.command](args)
+        t0 = time.perf_counter()
+        code = _COMMANDS[args.command](args)
+        log.info("%s took %.3f s", args.command, time.perf_counter() - t0)
+        return code
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -3,16 +3,15 @@
 Trials are embarrassingly parallel: each derives its streams from
 (seed, trial index), so summaries are identical whatever the worker count.
 Threshold rounds (the premature stop used for constant comparisons) and
-completion rounds are always reported separately and never summed.
+completion rounds are always reported separately and never summed.  The
+process pool is imported by the first pooled ``run_trials``, and numpy by
+the first ``trajectory_check``.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-
-import numpy as np
 
 from ..process import LOOP_COUNTS_TWO, ProcessConfig, TIE_AVOID, TIE_LOWEST
 from ..strategies import (
@@ -166,6 +165,8 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialSummary:
     spec.validate()
     indices = range(spec.trials)
     if workers > 1 and spec.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, itertools.repeat(spec), indices))
     else:
@@ -197,6 +198,8 @@ def trajectory_check(summary: TrialSummary, solution: PhaseSolution) -> Trajecto
     values; coordinates are matched by position (degree counts, or the
     saturated/matched/red fractions).
     """
+    import numpy as np
+
     spec = summary.spec
     if not any(r.samples for r in summary.results):
         raise ValueError("summary carries no trajectories; set record_trajectory")

@@ -16,8 +16,8 @@ accurate only over short steps.  At the default cap of 1e-2 the constants
 agree with the old cap of 1e-3 to 1e-9; uncapped, the Hermite samples of
 y' = -y err by about 1e-9 and a probe's two sub-steps could span a whole
 long step.  The work is bounded by ``max_steps`` trial steps, accepted and
-rejected alike, so ``n_rhs`` is at most ``6 * max_steps + 1`` (event probes
-call the drift directly and are not counted).
+rejected alike, so ``n_rhs`` is at most ``6 * max_steps + 1``; the event
+probes' drift calls are counted apart, in ``n_probe_rhs``.
 
 The step is unrolled: the stages are the named lists ``k1``..``k7``, the
 pair's weights are the module-level names ``C2``..``E7``, and every
@@ -104,6 +104,7 @@ class IntegrationResult:
     n_steps: int
     n_rhs: int
     n_rejected: int  # error rejections and DomainGuard halvings
+    n_probe_rhs: int  # drift calls of the event probes, not in n_rhs
     message: str = ""
 
 
@@ -157,11 +158,16 @@ def integrate(
     if len(y) != dim:
         raise ValueError("initial state has the wrong dimension")
     s = s0
-    n_rhs = 0
+    n_rhs = n_probe_rhs = 0
 
     def call(ss: float, yy: list[float]) -> list[float]:
         nonlocal n_rhs
         n_rhs += 1
+        return f(ss, yy)
+
+    def probe(ss: float, yy: list[float]) -> list[float]:
+        nonlocal n_probe_rhs
+        n_probe_rhs += 1
         return f(ss, yy)
 
     # the event value times its direction fires on a step from < 0 to >= 0;
@@ -192,13 +198,13 @@ def integrate(
     while s < s_budget - 1e-15:
         if n_steps + n_rejected >= cfg.max_steps:
             return IntegrationResult(
-                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
+                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs,
                 f"step limit {cfg.max_steps} reached at s={s!r}",
             )
         h = min(h, cfg.max_step, s_budget - s)
         if h < MIN_STEP:
             return IntegrationResult(
-                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
+                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs,
                 f"step size underflow at s={s!r}",
             )
         # one embedded trial step; each weighted sum is 0.0 + w1*k1 + w2*k2 + ...
@@ -252,7 +258,7 @@ def integrate(
             while hi - lo > EVENT_TOL:
                 mid = 0.5 * (lo + hi)
                 try:
-                    y_mid = _rk4_span(f, s, y, mid)
+                    y_mid = _rk4_span(probe, s, y, mid)
                 except DomainGuard:
                     y_mid = _hermite(s, y, k1, s_new, y_new, k7, mid)
                 if g_prev < 0.0 <= sign * g_fn(mid, y_mid):
@@ -269,7 +275,8 @@ def integrate(
                 dense_s.append(hi)
                 dense_y.append(list(y_hi))
             return IntegrationResult(
-                "event", hi, y_hi, dense_s, dense_y, n_steps, n_rhs, n_rejected
+                "event", hi, y_hi, dense_s, dense_y, n_steps, n_rhs, n_rejected,
+                n_probe_rhs,
             )
 
         s, y, k1, g_prev = s_new, y_new, k7, g_new
@@ -278,7 +285,9 @@ def integrate(
         else:
             h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.2))
 
-    return IntegrationResult("budget", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected)
+    return IntegrationResult(
+        "budget", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs
+    )
 
 
 def _hermite(

@@ -117,7 +117,8 @@ class PhaseSolution:
     ``grid_y`` holds one row per tracked coordinate on the uniform grid
     ``grid_s``; retired minimum-degree coordinates are zero-filled.
     ``n_steps``, ``n_rejected`` and ``n_rhs`` count accepted steps,
-    rejected trial steps and drift evaluations, summed over the phases.
+    rejected trial steps and drift evaluations, and ``n_probe_rhs`` the
+    event probes' drift evaluations, each summed over the phases.
     """
 
     property: str
@@ -131,6 +132,7 @@ class PhaseSolution:
     n_steps: int = 0
     n_rhs: int = 0
     n_rejected: int = 0
+    n_probe_rhs: int = 0
 
     def coordinate(self, label: str) -> list[float]:
         return self.grid_y[self.labels.index(label)]
@@ -154,6 +156,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     total_steps = 0
     total_rhs = 0
     total_rejected = 0
+    total_probe_rhs = 0
     for q in range(l):
         system = OdeSystem(
             dim=l - q,
@@ -164,6 +167,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         total_steps += res.n_steps
         total_rhs += res.n_rhs
         total_rejected += res.n_rejected
+        total_probe_rhs += res.n_probe_rhs
         if res.status != "event":
             raise OdeFailure(
                 f"phase {q} of the degree system (k={k}, l={l}) ended without "
@@ -191,6 +195,7 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         n_steps=total_steps,
         n_rhs=total_rhs,
         n_rejected=total_rejected,
+        n_probe_rhs=total_probe_rhs,
     )
     if sol.constant < l / 2:
         raise OdeFailure(f"degree constant {sol.constant} below the trivial bound {l/2}")
@@ -230,6 +235,7 @@ def _solve_stop(
         n_steps=res.n_steps,
         n_rhs=res.n_rhs,
         n_rejected=res.n_rejected,
+        n_probe_rhs=res.n_probe_rhs,
     )
 
 

@@ -77,12 +77,16 @@ class DegreeBuckets:
         self.n = n
         self.degree = degree  # shared with the owning GraphState
         top = max(degree[1:]) if n else 0
-        self._lists: list[list[int]] = [[] for _ in range(top + 1)]
-        self.pos = [0] * (n + 1)
-        for v in range(1, n + 1):
-            lst = self._lists[degree[v]]
-            self.pos[v] = len(lst)
-            lst.append(v)
+        if top == 0:  # a fresh state: what the loop below builds, in one step
+            self._lists: list[list[int]] = [list(range(1, n + 1))]
+            self.pos = [0, *range(n)]
+        else:
+            self._lists = [[] for _ in range(top + 1)]
+            self.pos = [0] * (n + 1)
+            for v in range(1, n + 1):
+                lst = self._lists[degree[v]]
+                self.pos[v] = len(lst)
+                lst.append(v)
         self.min_nonempty = 0
         self.max_nonempty = top
         while not self._lists[self.min_nonempty]:

@@ -22,15 +22,24 @@ generator ahead of what was drawn; that is invisible only while nothing
 else reads the generator.  So ``trial_source`` wraps the choice stream only
 of the generators it builds itself, and explicit ``streams=`` (a caller
 reusing one generator across runs) pass through as numpy's own.
+
+numpy is imported by the functions that build or read a generator, not
+with this module, so the layers that never draw (the drift systems, the
+exact oracle, the CLI's parser) start without it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Single generator for ad-hoc use (tests, one-off draws)."""
+    import numpy as np
+
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.PCG64(ss))
 
@@ -41,6 +50,8 @@ def trial_streams(seed: int, trial_index: int = 0):
     The two streams live on distinct spawn-key lanes of the trial's seed
     sequence, so they are mutually independent and reproducible.
     """
+    import numpy as np
+
     sq = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index, 0))
     ch = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index, 1))
     return (
@@ -66,6 +77,8 @@ class ChoiceSource:
         self._words = 8
 
     def _refill(self) -> list[int]:
+        import numpy as np
+
         raw = self._bits.random_raw(self._words)
         self._words = min(self._words * 2, 4096)
         halves = np.empty(2 * raw.size, dtype=np.uint64)

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..process import (
     GraphState,
     ProcessConfig,
@@ -304,6 +302,8 @@ def two_phase_mindeg(config: ProcessConfig, l: int, trial_index: int = 0) -> Two
     if l < 1:
         raise ValueError("target minimum degree must be >= 1")
     config.validate()
+    import numpy as np
+
     n = config.n
     m = (l * n) // 2
     rng_sq, rng_ch = trial_streams(config.seed, trial_index)

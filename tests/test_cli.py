@@ -3,8 +3,14 @@
 import csv
 import io
 import json
+import logging
 import math
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +202,58 @@ def test_help_lists_documented_flags(capsys):
     for flag in ("--property", "--k-range", "--l-range", "--eps", "--format",
                  "--seed", "--threads", "--verbose"):
         assert flag in out
+
+
+def test_verbose_logs_the_subcommand_wall_time(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="semirandom")
+    argv = ["oracle", "--property", "mindeg1", "--n", "4", "--k", "1"]
+    code, out, _ = run_cli(capsys, *argv, "--verbose")
+    assert code == 0 and out == "2.5\n"
+    (record,) = [r for r in caplog.records if r.name == "semirandom"]
+    assert record.levelno == logging.INFO
+    assert re.fullmatch(r"oracle took \d+\.\d{3} s", record.getMessage())
+
+
+# Run in a fresh interpreter: the solver, oracle and validation paths load
+# neither numpy nor the process pool, and the first draw loads numpy.
+COLD_START = """
+import sys
+
+def assert_cold(step):
+    for name in ("numpy", "concurrent.futures.process"):
+        assert name not in sys.modules, (step, name)
+
+import semirandom
+assert_cold("import semirandom")
+import semirandom.cli
+assert_cold("import semirandom.cli")
+from semirandom.cli import main
+assert main(["ode-table", "--property", "mindeg", "--k-range", "1..2", "--l-range", "1..2"]) == 0
+assert_cold("ode-table")
+assert main(["oracle", "--property", "mindeg2", "--n", "5", "--k", "2"]) == 0
+assert_cold("oracle")
+assert main(["simulate", "--property", "mindeg1", "--n", "0", "--k", "1"]) == 1
+assert_cold("an invalid input")
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+assert_cold("--help")
+assert main(["simulate", "--property", "mindeg1", "--n", "50", "--k", "1",
+             "--trials", "1", "--threads", "1"]) == 0
+assert "numpy" in sys.modules, "a simulation must draw through numpy"
+"""
+
+
+def test_cold_start_loads_numpy_only_to_draw():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # quiet without --verbose: the invalid input's message is all of stderr
+    assert proc.stderr == "invalid arguments: vertex count must be >= 1, got 0\n"

@@ -28,6 +28,18 @@ def test_init_state_single_vertex():
     assert state.degree[1] == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_fresh_buckets_equal_the_per_vertex_build(n):
+    b = init_state(ProcessConfig(n=n, k=1)).buckets
+    # what the per-vertex loop builds: every vertex in the degree-0 list, in id order
+    lists, pos = [[]], [0] * (n + 1)
+    for v in range(1, n + 1):
+        pos[v] = len(lists[0])
+        lists[0].append(v)
+    assert (b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo) == (lists, pos, 0, 0, 1)
+    b.validate()
+
+
 @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (0, 0), (-3, 2)])
 def test_init_state_rejects_degenerate_sizes(n, k):
     with pytest.raises(ValueError):

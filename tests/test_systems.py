@@ -276,3 +276,28 @@ def test_phase_solutions_count_rhs_evaluations(rhs_counts):
         assert sol.n_rhs == sum(rhs_counts)
         # six fresh stages per accepted step, plus the first evaluation of each phase
         assert sol.n_rhs >= 6 * sol.n_steps + len(sol.breakpoints)
+
+
+def test_every_drift_call_is_counted(monkeypatch):
+    # the stepper's calls and the event probes' calls together are every call
+    import semirandom.ode.systems as systems
+
+    calls = 0
+    original = systems.integrate
+
+    def counting(system, *args, **kwargs):
+        drift = system.drift
+
+        def counted(s, y):
+            nonlocal calls
+            calls += 1
+            return drift(s, y)
+
+        return original(dataclasses.replace(system, drift=counted), *args, **kwargs)
+
+    monkeypatch.setattr(systems, "integrate", counting)
+    for solver, args in ((solve_min_degree, (3, 2)), (solve_pm, (2,)), (solve_ham, (2,))):
+        calls = 0
+        sol = solver(*args)
+        assert sol.n_probe_rhs > 0, (solver.__name__, args)
+        assert calls == sol.n_rhs + sol.n_probe_rhs, (solver.__name__, args)
