@@ -240,12 +240,14 @@ def dominance_experiment(spec: TrialSpec, baseline: str, workers: int = 1) -> Do
 
     Both strategies replay identical square arrivals (paired seeds and a
     separate square stream), and the p-value tests the one-sided hypothesis
-    that the baseline needs more rounds on average.
+    that the baseline needs more rounds on average.  Both specs are
+    validated before the first trial runs.
     """
     if spec.property != PROP_MIN_DEGREE:
         raise ValueError("dominance experiments target the minimum-degree property")
+    base = replace(spec.validate(), strategy=baseline).validate()
     a = run_trials(spec, workers=workers)
-    b = run_trials(replace(spec, strategy=baseline), workers=workers)
+    b = run_trials(base, workers=workers)
     diffs = [
         rb.threshold_round - ra.threshold_round
         for ra, rb in zip(a.results, b.results)

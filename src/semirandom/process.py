@@ -1,9 +1,10 @@
 """Evolving multigraph state of the k-choice process.
 
 The state tracks only per-vertex degrees (loops and parallel edges are
-legal) plus a degree-bucket index giving O(1) minimum-degree queries,
-constant-time per-degree counts and a cursor to the lowest-index vertex of
-minimum degree (no minimum-degree vertex lies below it).  Vertices are
+legal) plus per-degree vertex counts giving O(1) minimum-degree queries and
+a cursor to the lowest-index vertex of minimum degree (no minimum-degree
+vertex lies below it).  Per-degree vertex lists are kept only under the
+uniform circle tie-break, the one rule that draws from them.  Vertices are
 1-based ids ``1..n``.  This module builds, counts and validates the state;
 edges are added only by the degree target's round kernel
 (``strategies.mindeg``, whose ``add_edge`` is one round of it).
@@ -57,12 +58,14 @@ class ProcessConfig:
 
 
 class DegreeBuckets:
-    """Per-degree vertex lists on one shared position array.
+    """Per-degree vertex counts, with per-degree vertex lists only where a rule draws from them.
 
-    ``_lists[d]`` holds the degree-d vertices in packed order and ``pos[v]``
-    is v's slot there.  The degree kernel moves a vertex by filling its
-    leaving slot with the list's tail and appending it to its new list, so a
-    class member is drawn by index in O(1).
+    ``cnt[d]`` is the number of degree-d vertices.  With ``packed`` (the
+    uniform circle rule, which draws a minimum-degree vertex by index),
+    ``_lists[d]`` also holds the degree-d vertices in packed order and
+    ``pos[v]`` is v's slot there: the degree kernel moves a vertex by filling
+    its leaving slot with the list's tail and appending it to its new list.
+    Without it both are None.
 
     Degrees only grow, so ``min_nonempty`` and ``max_nonempty`` advance
     monotonically and, while the minimum degree m holds, its class only
@@ -71,45 +74,60 @@ class DegreeBuckets:
     ``_lo`` restarts at 1 when m advances, which costs O(n) per degree level.
     """
 
-    __slots__ = ("n", "degree", "pos", "_lists", "_lo", "min_nonempty", "max_nonempty")
+    __slots__ = ("n", "degree", "cnt", "pos", "_lists", "_lo", "min_nonempty", "max_nonempty")
 
-    def __init__(self, degree: list[int], n: int):
+    def __init__(self, degree: list[int], n: int, packed: bool = False):
         self.n = n
         self.degree = degree  # shared with the owning GraphState
         top = max(degree[1:]) if n else 0
-        if top == 0:  # a fresh state: what the loop below builds, in one step
-            self._lists: list[list[int]] = [list(range(1, n + 1))]
-            self.pos = [0, *range(n)]
+        self._lists: list[list[int]] | None = None
+        self.pos: list[int] | None = None
+        if top == 0:  # a fresh state: what the loops below build, in one step
+            self.cnt = [n]
+            if packed:
+                self._lists = [list(range(1, n + 1))]
+                self.pos = [0, *range(n)]
         else:
-            self._lists = [[] for _ in range(top + 1)]
-            self.pos = [0] * (n + 1)
-            for v in range(1, n + 1):
-                lst = self._lists[degree[v]]
-                self.pos[v] = len(lst)
-                lst.append(v)
+            self.cnt = [0] * (top + 1)
+            for d in degree[1:]:
+                self.cnt[d] += 1
+            if packed:
+                self._lists = [[] for _ in range(top + 1)]
+                self.pos = [0] * (n + 1)
+                for v in range(1, n + 1):
+                    lst = self._lists[degree[v]]
+                    self.pos[v] = len(lst)
+                    lst.append(v)
         self.min_nonempty = 0
         self.max_nonempty = top
-        while not self._lists[self.min_nonempty]:
+        while not self.cnt[self.min_nonempty]:
             self.min_nonempty += 1
         self._lo = 1
 
     def count(self, d: int) -> int:
-        return len(self._lists[d]) if 0 <= d < len(self._lists) else 0
+        return self.cnt[d] if 0 <= d < len(self.cnt) else 0
 
     def validate(self) -> None:
         """O(n) rescan; raises AssertionError on any inconsistency.
 
-        Each vertex sits at its ``pos`` slot of its degree's list, and the
-        lists hold n entries in all, so they hold nothing else.
+        The counts are recounted from the degrees.  With packed lists, each
+        vertex sits at its ``pos`` slot of its degree's list, and the lists
+        hold n entries in all, so they hold nothing else.
         """
-        lists, degree, pos = self._lists, self.degree, self.pos
-        seen = sum(map(len, lists))
-        assert seen == self.n, f"buckets cover {seen} vertices, expected {self.n}"
-        for v in range(1, self.n + 1):
-            d, i = degree[v], pos[v]
-            assert d < len(lists) and 0 <= i < len(lists[d]) and lists[d][i] == v, (v, d, i)
+        lists, degree, pos, cnt = self._lists, self.degree, self.pos, self.cnt
+        top = max(degree[1:])
+        assert self.max_nonempty == top, "stale maximum degree"
+        seen = [0] * (top + 1)
+        for d in degree[1:]:
+            seen[d] += 1
+        assert cnt == seen, "stale degree counts"
+        if lists is not None:
+            total = sum(map(len, lists))
+            assert total == self.n, f"lists cover {total} vertices, expected {self.n}"
+            for v in range(1, self.n + 1):
+                d, i = degree[v], pos[v]
+                assert d < len(lists) and 0 <= i < len(lists[d]) and lists[d][i] == v, (v, d, i)
         assert self.min_nonempty == min(degree[1:]), "stale minimum degree"
-        assert self.max_nonempty >= max(degree[1:]), "stale maximum degree"
         assert self.min_nonempty not in degree[1 : self._lo], "minimum vertex below the cursor"
 
 
@@ -124,7 +142,7 @@ class GraphState:
         self.t = 0
         n = config.n
         self.degree = degree if degree is not None else [0] * (n + 1)
-        self.buckets = DegreeBuckets(self.degree, n)
+        self.buckets = DegreeBuckets(self.degree, n, packed=config.tie_break == TIE_UNIFORM)
 
     def validate(self) -> None:
         assert self.degree[0] == 0

@@ -9,8 +9,10 @@ single-purpose greedy routines cover the large-parameter regimes.
 Every min-degree round, the one-round steps' and ``add_edge``'s included, is
 played by one kernel, ``_play_block``, with the degree state in locals,
 until the minimum degree rises or the round budget (next sample or check,
-or block end) runs out.  It makes round-by-round play's ``rng.integers`` calls in order and
-dispatches on the strategy name, its last argument, not on the
+or block end) runs out.  It moves each endpoint between per-degree counts,
+and between packed per-degree lists only under the uniform circle tie-break,
+which draws from them.  It makes round-by-round play's ``rng.integers`` calls
+in order and dispatches on the strategy name, its last argument, not on the
 ``MIN_DEGREE_STRATEGIES`` entry a profiler wraps.  Runs play it under
 ``play_blocks``, the driver of the builders' kernels too, which sets the
 budgets and refills blocks only where ``next_round`` would.
@@ -70,22 +72,21 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
     uniform_square = k > 1 and cfg.square_tie_break == TIE_UNIFORM  # a lone offer is its pick
     circle = cfg.tie_break if strategy == "s0" else strategy
     deg, b = state.degree, state.buckets
-    lists, pos, m, mx, lo = b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo
-    mins = lists[m]  # only shrinks until the minimum degree rises
+    cnt, lists, pos, m, mx, lo = b.cnt, b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo
     start = i
     j = v = 0
     while i < end:
         # square: the first minimum-degree offer, or a uniform one among them
-        j = i
         if uniform_square:
-            j += select_square_index(deg, buf[i : i + k], TIE_UNIFORM, rng)
-        elif k > 1:
-            du = deg[buf[i]]
-            for jj in range(i + 1, i + k):
-                d = deg[buf[jj]]
+            j = i + select_square_index(deg, buf[i : i + k], TIE_UNIFORM, rng)
+            u = buf[j]
+        else:
+            u = buf[i]
+            du = deg[u]
+            for x in buf[i + 1 : i + k]:
+                d = deg[x]
                 if d < du:
-                    du, j = d, jj
-        u = buf[j]
+                    u, du = x, d
         i += k
         # circle: the lowest minimum-degree vertex (off the square under TIE_AVOID while
         # another exists), a uniform one, a uniform vertex, the lowest maximum-degree one,
@@ -94,47 +95,55 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
             while deg[lo] != m:
                 lo += 1
             v = lo
-            if v == u and circle == TIE_AVOID and len(mins) > 1:
+            if v == u and circle == TIE_AVOID and cnt[m] > 1:
                 v += 1
                 while deg[v] != m:
                     v += 1
         elif circle == TIE_UNIFORM:
+            mins = lists[m]
             v = mins[rng.integers(len(mins))]
         elif circle == "uniform_circle":
             v = int(rng.integers(1, n + 1))
         elif circle == "max_degree_circle":
-            v = min(lists[mx])
+            v = deg.index(mx, 1)
         else:
             v = circle
         assert not debug or 1 <= u <= n and 1 <= v <= n
-        # edge uv: u, then v, moves up to the tail of its next degree list
+        # edge uv: u, then v, moves up a degree class (to the tail of its next list, if packed)
         inc = loop_inc if u == v else 1
         x = u
         while True:
             d = deg[x]
             new = deg[x] = d + inc
-            left = lists[d]
-            last = left.pop()
-            if last != x:
-                left[pos[x]] = last
-                pos[last] = pos[x]
+            cnt[d] -= 1
             if new > mx:
                 mx = new
-                while len(lists) <= new:
-                    lists.append([])
-            dest = lists[new]
-            pos[x] = len(dest)
-            dest.append(x)
+                while len(cnt) <= new:
+                    cnt.append(0)
+                    if lists is not None:
+                        lists.append([])
+            cnt[new] += 1
+            if lists is not None:
+                left = lists[d]
+                last = left.pop()
+                if last != x:
+                    left[pos[x]] = last
+                    pos[last] = pos[x]
+                dest = lists[new]
+                pos[x] = len(dest)
+                dest.append(x)
             if x == v:
                 break
             x = v
-        if not mins:
+        if not cnt[m]:
             m += 1
-            while not lists[m]:
+            while not cnt[m]:
                 m += 1
             b.min_nonempty = m
             lo = 1
             break
+    if i > start and not uniform_square:
+        j = buf.index(u, i - k)  # the first offer of u is the first minimum-degree offer
     b._lo, b.max_nonempty = lo, mx
     state.t += (i - start) // k
     return i, j, v

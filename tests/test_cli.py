@@ -195,6 +195,20 @@ def test_dominance_runs(capsys):
     assert payload["mean_strategy"] < payload["mean_baseline"]
 
 
+def test_dominance_bad_baseline_exits_1_before_any_trial(capsys, monkeypatch):
+    from semirandom.harness import trials
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the baseline was validated")
+
+    monkeypatch.setattr(trials, "run_trials", no_trials)
+    code, out, err = run_cli(
+        capsys, "dominance", "--baseline", "nope", "--n", "20000", "--k", "2", "--trials", "10",
+    )
+    assert (code, out) == (1, "")
+    assert "unknown strategy 'nope'" in err
+
+
 def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit):
         main(["ode-table", "--help"])

@@ -22,6 +22,7 @@ from semirandom.harness import (
     trajectory_check,
     trials_to_csv,
 )
+from semirandom.harness import trials
 from semirandom.ode import emit_tables, solve_min_degree, solve_pm
 
 
@@ -167,6 +168,16 @@ def test_dominance_rejects_other_properties():
     spec = TrialSpec(property="perfect_matching", n=100, k=1, trials=2, seed=1)
     with pytest.raises(ValueError):
         dominance_experiment(spec, "uniform_circle")
+
+
+def test_dominance_rejects_a_bad_baseline_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the baseline was validated")
+
+    monkeypatch.setattr(trials, "run_trials", no_trials)
+    spec = TrialSpec(property="min_degree", n=20_000, k=2, trials=10, seed=1)
+    with pytest.raises(ValueError, match="unknown strategy 'nope'"):
+        dominance_experiment(spec, "nope")
 
 
 def test_dominance_beats_max_degree_baseline():

@@ -60,6 +60,19 @@ def test_step_tie_breaks():
     assert 1 <= out.circle <= 4
 
 
+@pytest.mark.parametrize("circle", [TIE_AVOID, TIE_LOWEST, TIE_UNIFORM])
+def test_square_index_under_repeated_offers(circle, scripted_rng):
+    # vertex 3 offered twice: the index is the position the square rule picked
+    def state(square_tie_break):
+        cfg = ProcessConfig(n=4, k=2, tie_break=circle, square_tie_break=square_tie_break)
+        return state_from_degrees(cfg, [0, 1, 1, 0, 1], t=0)
+
+    out = mindeg_step(state(TIE_LOWEST), [3, 3], scripted_rng([0]))
+    assert (out.square_index, out.square) == (1, 3)
+    out = mindeg_step(state(TIE_UNIFORM), [3, 3], scripted_rng([1, 0]))
+    assert (out.square_index, out.square) == (2, 3)
+
+
 def test_circle_rules_pick_lowest_vertices():
     def state(tie_break, degrees):
         return state_from_degrees(ProcessConfig(n=5, k=1, tie_break=tie_break), [0, *degrees], t=0)
@@ -415,9 +428,11 @@ def test_round_kernel_matches_reference_model(data):
 
     b = state.buckets
     assert state.degree == model.degree
-    assert b._lists[: len(model.lists)] == model.lists
-    assert not any(b._lists[len(model.lists):])
-    assert b.pos == model.pos
+    assert b.cnt == [len(lst) for lst in model.lists]
+    if cfg.tie_break == TIE_UNIFORM:  # the only rule that draws from the packed lists
+        assert (b._lists, b.pos) == (model.lists, model.pos)
+    else:
+        assert b._lists is b.pos is None
     assert (b._lo, b.min_nonempty, b.max_nonempty) == (model.lo, model.min, model.max)
     assert state.t == model.t
     assert _source_position(src, rng_sq) == _source_position(model_src, model_sq)
@@ -433,7 +448,7 @@ def _generator_state(rng) -> tuple:
 
 def _degree_snapshot(state, src: SquareSource, rng) -> tuple:
     b = state.buckets
-    return (state.degree, b._lists, b.pos, b._lo, b.min_nonempty, b.max_nonempty, state.t,
+    return (state.degree, b.cnt, b._lists, b.pos, b._lo, b.min_nonempty, b.max_nonempty, state.t,
             src._i, src._buf, src._rounds, _generator_state(src._rng), _generator_state(rng))
 
 

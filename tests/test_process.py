@@ -12,7 +12,13 @@ from semirandom import (
     trial_rng,
     trial_streams,
 )
-from semirandom.process import LOOP_COUNTS_ONE, LOOP_POLICIES, state_from_degrees
+from semirandom.process import (
+    CIRCLE_POLICIES,
+    LOOP_COUNTS_ONE,
+    LOOP_POLICIES,
+    TIE_UNIFORM,
+    state_from_degrees,
+)
 
 
 def test_init_state_empty_graph():
@@ -30,14 +36,29 @@ def test_init_state_single_vertex():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
 def test_fresh_buckets_equal_the_per_vertex_build(n):
-    b = init_state(ProcessConfig(n=n, k=1)).buckets
     # what the per-vertex loop builds: every vertex in the degree-0 list, in id order
     lists, pos = [[]], [0] * (n + 1)
     for v in range(1, n + 1):
         pos[v] = len(lists[0])
         lists[0].append(v)
-    assert (b._lists, b.pos, b.min_nonempty, b.max_nonempty, b._lo) == (lists, pos, 0, 0, 1)
-    b.validate()
+    for tie_break in CIRCLE_POLICIES:
+        b = init_state(ProcessConfig(n=n, k=1, tie_break=tie_break)).buckets
+        assert (b.cnt, b.min_nonempty, b.max_nonempty, b._lo) == ([len(lists[0])], 0, 0, 1)
+        if tie_break == TIE_UNIFORM:  # the only rule that draws from the lists
+            assert (b._lists, b.pos) == (lists, pos)
+        b.validate()
+
+
+@pytest.mark.parametrize("tie_break", CIRCLE_POLICIES)
+def test_packed_lists_only_under_the_uniform_circle_rule(tie_break):
+    cfg = ProcessConfig(n=6, k=1, tie_break=tie_break)
+    for state in (init_state(cfg), state_from_degrees(cfg, [0, 1, 2, 1, 3, 2, 1], t=5)):
+        for u, v in [(1, 2), (4, 4), (3, 6), (5, 1)]:
+            add_edge(state, u, v)
+        b = state.buckets
+        packed = tie_break == TIE_UNIFORM
+        assert (b._lists is not None, b.pos is not None) == (packed, packed)
+        state.validate()
 
 
 @pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (0, 0), (-3, 2)])
@@ -160,15 +181,18 @@ def _moves(state, u, v):
     degrees=st.lists(st.integers(0, 4), min_size=1, max_size=12),
     fresh=st.booleans(),
     loop_degree=st.sampled_from(LOOP_POLICIES),
+    tie_break=st.sampled_from(CIRCLE_POLICIES),
     edges=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)), max_size=40),
 )
-def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
+def test_buckets_match_reference_model(degrees, fresh, loop_degree, tie_break, edges):
     n = len(degrees)
-    cfg = ProcessConfig(n=n, k=1, loop_degree=loop_degree)
+    cfg = ProcessConfig(n=n, k=1, tie_break=tie_break, loop_degree=loop_degree)
     state = init_state(cfg) if fresh else state_from_degrees(cfg, [0, *degrees], t=0)
     b = state.buckets
     # one list per degree, fed the same moves as the buckets: a leaving
-    # vertex's slot takes the list's tail, an arriving vertex is appended
+    # vertex's slot takes the list's tail, an arriving vertex is appended;
+    # the buckets keep these lists under the uniform circle rule, and their
+    # lengths as counts under every rule
     ref = {}
     for v in range(1, n + 1):
         ref.setdefault(state.degree[v], []).append(v)
@@ -184,8 +208,10 @@ def test_buckets_match_reference_model(degrees, fresh, loop_degree, edges):
         add_edge(state, u, v)
         for d in range(max(state.degree) + 3):
             members = [w for w in range(1, n + 1) if state.degree[w] == d]
-            assert b.count(d) == len(members)
-            assert b._lists[d] == ref[d] if d in ref else not members
+            assert b.count(d) == len(members) == len(ref.get(d, []))
+            if tie_break == TIE_UNIFORM:
+                assert b._lists[d] == ref[d] if d in ref else not members
+        assert b.cnt == [len(ref.get(d, [])) for d in range(max(state.degree) + 1)]
         b.validate()  # includes the cursor invariant
 
 
@@ -193,27 +219,37 @@ def _swap_first_of(b, d, e):
     b._lists[d][0], b._lists[e][0] = b._lists[e][0], b._lists[d][0]
 
 
+def _shift_count(b, d, e):
+    b.cnt[d] -= 1
+    b.cnt[e] += 1
+
+
+PACKED = (TIE_UNIFORM,)  # the corruption touches the packed lists, kept only there
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt,tie_breaks",
     [
-        pytest.param(lambda b: b.pos.__setitem__(1, 1), id="wrong-pos"),
-        pytest.param(lambda b: b.pos.__setitem__(1, 7), id="pos-past-list"),
-        pytest.param(lambda b: b.pos.__setitem__(1, -3), id="negative-pos"),
-        pytest.param(lambda b: _swap_first_of(b, 1, 2), id="vertex-in-wrong-list"),
-        pytest.param(lambda b: b._lists[3].append(4), id="extra-entry"),
-        pytest.param(lambda b: setattr(b, "min_nonempty", 2), id="stale-min"),
-        pytest.param(lambda b: setattr(b, "max_nonempty", 2), id="stale-max"),
-        pytest.param(lambda b: setattr(b, "_lo", 2), id="cursor-past-minimum"),
+        pytest.param(lambda b: b.pos.__setitem__(1, 1), PACKED, id="wrong-pos"),
+        pytest.param(lambda b: b.pos.__setitem__(1, 7), PACKED, id="pos-past-list"),
+        pytest.param(lambda b: b.pos.__setitem__(1, -3), PACKED, id="negative-pos"),
+        pytest.param(lambda b: _swap_first_of(b, 1, 2), PACKED, id="vertex-in-wrong-list"),
+        pytest.param(lambda b: b._lists[3].append(4), PACKED, id="extra-entry"),
+        pytest.param(lambda b: _shift_count(b, 1, 2), CIRCLE_POLICIES, id="stale-count"),
+        pytest.param(lambda b: setattr(b, "min_nonempty", 2), CIRCLE_POLICIES, id="stale-min"),
+        pytest.param(lambda b: setattr(b, "max_nonempty", 2), CIRCLE_POLICIES, id="stale-max"),
+        pytest.param(lambda b: setattr(b, "_lo", 2), CIRCLE_POLICIES, id="cursor-past-minimum"),
     ],
 )
-def test_validate_catches_each_corruption(corrupt):
-    # degree-1 list [1, 3, 6], degree-2 list [2, 5], degree-3 list [4]
-    state = state_from_degrees(ProcessConfig(n=6, k=1), [0, 1, 2, 1, 3, 2, 1], t=5)
-    b = state.buckets
-    b.validate()
-    corrupt(b)
-    with pytest.raises(AssertionError):
+def test_validate_catches_each_corruption(corrupt, tie_breaks):
+    for tie_break in tie_breaks:
+        # counts (0, 3, 2, 1); packed: degree-1 list [1, 3, 6], degree-2 [2, 5], degree-3 [4]
+        cfg = ProcessConfig(n=6, k=1, tie_break=tie_break)
+        b = state_from_degrees(cfg, [0, 1, 2, 1, 3, 2, 1], t=5).buckets
         b.validate()
+        corrupt(b)
+        with pytest.raises(AssertionError):
+            b.validate()
 
 
 def test_state_from_degrees_matches_incremental():
