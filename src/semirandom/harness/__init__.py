@@ -29,7 +29,6 @@ from .export import (
     summary_to_json,
     tables_to_csv,
     tables_to_json,
-    trials_to_csv,
     write_text,
 )
 
@@ -59,6 +58,5 @@ __all__ = [
     "summary_to_json",
     "tables_to_csv",
     "tables_to_json",
-    "trials_to_csv",
     "write_text",
 ]

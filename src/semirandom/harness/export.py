@@ -1,4 +1,4 @@
-"""Byte-stable CSV and JSON export of tables and trial summaries."""
+"""Byte-stable export: tables as CSV or JSON, trial summaries as JSON."""
 
 from __future__ import annotations
 
@@ -11,17 +11,6 @@ from ..ode import TableRecord
 from .trials import TrialSummary
 
 TABLE_HEADER = ("property", "k", "l", "constant", "kind")
-TRIAL_HEADER = (
-    "property",
-    "strategy",
-    "n",
-    "k",
-    "trial",
-    "hitting_round",
-    "threshold_round",
-    "completion_rounds",
-    "seed",
-)
 
 
 def tables_to_csv(records: list[TableRecord]) -> str:
@@ -35,28 +24,6 @@ def tables_to_csv(records: list[TableRecord]) -> str:
 
 def tables_to_json(records: list[TableRecord]) -> str:
     return json.dumps([asdict(r) for r in records], indent=2, sort_keys=True) + "\n"
-
-
-def trials_to_csv(summary: TrialSummary) -> str:
-    spec = summary.spec
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TRIAL_HEADER)
-    for r in summary.results:
-        w.writerow(
-            [
-                spec.property,
-                spec.strategy,
-                spec.n,
-                spec.k,
-                r.trial,
-                "" if r.hitting_round is None else r.hitting_round,
-                r.threshold_round,
-                r.completion_rounds,
-                spec.seed,
-            ]
-        )
-    return buf.getvalue()
 
 
 def summary_to_json(summary: TrialSummary, include_trajectories: bool = False) -> str:

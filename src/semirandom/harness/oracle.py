@@ -87,10 +87,13 @@ def _forward_law(start, step, absorbed, cap, tiny=0):
     """Law of the absorption round, walked forward in exact masses.
 
     Stops after ``cap`` rounds or once the live mass is below ``tiny``;
-    returns the law and the live mass left.
+    returns the law and the live mass left.  Every ``step`` law sums to
+    exactly 1, so the live mass is 1 minus the absorbed mass, kept exact
+    without summing the frontier.
     """
     frontier = {start: Fraction(1)}
     law: dict[int, Fraction] = {}
+    live = Fraction(1)
     t = 0
     while frontier and t < cap:
         t += 1
@@ -104,10 +107,11 @@ def _forward_law(start, step, absorbed, cap, tiny=0):
                     nxt[succ] = nxt.get(succ, 0) + mass * p
         if hit:
             law[t] = hit
+            live -= hit
         frontier = nxt
-        if tiny and sum(frontier.values(), Fraction(0)) < tiny:
+        if live < tiny:
             break
-    return law, sum(frontier.values(), Fraction(0))
+    return law, live
 
 
 # ---------------------------------------------------------------- min degree

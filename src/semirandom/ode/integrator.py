@@ -3,21 +3,22 @@
 The stepper is the classic embedded 4/5 pair of Dormand and Prince (six
 active stages, first same as last).  A system has at most one terminal
 event, a scalar function checked at accepted steps; its crossing is
-localized by bisection, with in-step probes computed by short fixed
-Runge-Kutta sub-steps from the step's left endpoint.  All state is plain
-Python floats: the systems here have at most five coordinates, where array
-round-trips would dominate the cost.
+localized by bisection on the pair's own continuous extension.  All state
+is plain Python floats: the systems here have at most five coordinates,
+where array round-trips would dominate the cost.
 
 The step size follows the standard error-per-step control of the pair
 (Hairer, Norsett & Wanner, *Solving ODEs I*, section II.4), so ``rtol``
-sets the step count.  A cap ``max_step`` still bounds every step: the
-two-sub-step RK4 event probes and the cubic Hermite dense samples are
-accurate only over short steps.  At the default cap of 1e-2 the constants
-agree with the old cap of 1e-3 to 1e-9; uncapped, the Hermite samples of
-y' = -y err by about 1e-9 and a probe's two sub-steps could span a whole
-long step.  The work is bounded by ``max_steps`` trial steps, accepted and
-rejected alike, so ``n_rhs`` is at most ``6 * max_steps + 1``; the event
-probes' drift calls are counted apart, in ``n_probe_rhs``.
+sets the step count.  Inside an accepted step, the event bisection and the
+dense grid both read the 4th-order interpolant of the same reference
+(section II.6, ``contd5`` of their ``dopri5`` code), built from the stages
+k1 and k3..k7 with no further drift call.  It is accurate over a whole
+step (uncapped, the samples of y' = -y err by about 2e-11, and the
+published constants agree with a step cap of 1e-3 to 1e-9), so no step cap
+is needed: ``max_step`` defaults to infinity and stays a field only for
+callers that want a coarser bound.  The work is bounded
+by ``max_steps`` trial steps, accepted and rejected alike, so ``n_rhs``,
+which counts every drift call, is at most ``6 * max_steps + 1``.
 
 The step is unrolled: the stages are the named lists ``k1``..``k7``, the
 pair's weights are the module-level names ``C2``..``E7``, and every
@@ -51,20 +52,20 @@ MIN_STEP = 1e-13
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
-RK4_SUBSTEPS = 2  # fixed sub-steps of an in-step event probe
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Tolerance and bounds of one integration.
 
-    ``rtol`` sets the step count; ``max_step`` only caps each step so that
-    event probes and dense samples stay accurate (see the module docstring).
-    ``max_steps`` bounds the trial steps, accepted plus rejected.
+    ``rtol`` sets the step count.  ``max_step`` is uncapped by default: the
+    event and the dense samples read the pair's interpolant, which holds
+    over a whole step (see the module docstring).  ``max_steps`` bounds the
+    trial steps, accepted plus rejected.
     """
 
     rtol: float = 1e-10
-    max_step: float = 1e-2
+    max_step: float = math.inf
     dense_step: float | None = 1e-3
     max_steps: int = 2_000_000
 
@@ -104,7 +105,6 @@ class IntegrationResult:
     n_steps: int
     n_rhs: int
     n_rejected: int  # error rejections and DomainGuard halvings
-    n_probe_rhs: int  # drift calls of the event probes, not in n_rhs
     message: str = ""
 
 
@@ -120,22 +120,9 @@ B1, B2, B3, B4, B5, B6 = 35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 
 E1, E2, E3, E4, E5, E6, E7 = (
     71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
-
-
-def _rk4_span(f, s0: float, y0: list[float], s1: float) -> list[float]:
-    """Fixed classical RK4 from (s0, y0) to s1; used for in-step probes."""
-    dim = len(y0)
-    h = (s1 - s0) / RK4_SUBSTEPS
-    y = list(y0)
-    s = s0
-    for _ in range(RK4_SUBSTEPS):
-        k1 = f(s, y)
-        k2 = f(s + h / 2, [y[i] + h / 2 * k1[i] for i in range(dim)])
-        k3 = f(s + h / 2, [y[i] + h / 2 * k2[i] for i in range(dim)])
-        k4 = f(s + h, [y[i] + h * k3[i] for i in range(dim)])
-        y = [y[i] + h / 6 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(dim)]
-        s += h
-    return y
+# the continuous extension's stage weights (stage 2 has none)
+D1, D3, D4 = -12715105075 / 11282082432, 87487479700 / 32700410799, -10690763975 / 1880347072
+D5, D6, D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423
 
 
 def integrate(
@@ -148,8 +135,8 @@ def integrate(
     """Advance the system until its event fires or the budget is exhausted.
 
     Dense samples are collected on the uniform grid ``cfg.dense_step`` (when
-    set) via cubic interpolation matched to values and slopes at the step
-    ends.  Deterministic for fixed inputs.
+    set) from each step's continuous extension.  Deterministic for fixed
+    inputs.
     """
     cfg.validated()
     f = system.drift
@@ -158,16 +145,11 @@ def integrate(
     if len(y) != dim:
         raise ValueError("initial state has the wrong dimension")
     s = s0
-    n_rhs = n_probe_rhs = 0
+    n_rhs = 0
 
     def call(ss: float, yy: list[float]) -> list[float]:
         nonlocal n_rhs
         n_rhs += 1
-        return f(ss, yy)
-
-    def probe(ss: float, yy: list[float]) -> list[float]:
-        nonlocal n_probe_rhs
-        n_probe_rhs += 1
         return f(ss, yy)
 
     # the event value times its direction fires on a step from < 0 to >= 0;
@@ -198,13 +180,13 @@ def integrate(
     while s < s_budget - 1e-15:
         if n_steps + n_rejected >= cfg.max_steps:
             return IntegrationResult(
-                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs,
+                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
                 f"step limit {cfg.max_steps} reached at s={s!r}",
             )
         h = min(h, cfg.max_step, s_budget - s)
         if h < MIN_STEP:
             return IntegrationResult(
-                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs,
+                "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
                 f"step size underflow at s={s!r}",
             )
         # one embedded trial step; each weighted sum is 0.0 + w1*k1 + w2*k2 + ...
@@ -249,18 +231,17 @@ def integrate(
         n_steps += 1
         s_new = s + h
 
-        # the terminal event, localized by bisection anchored at the step start
+        # the terminal event, localized by bisection on the step's interpolant
         g_new = sign * g_fn(s_new, y_new)
         fired = g_prev < 0.0 <= g_new
         hi, y_hi = s_new, y_new
+        if fired or (grid and next_grid <= s_new + 1e-15):
+            cont = _continuous_extension(h, y, y_new, k1, k3, k4, k5, k6, k7)
         if fired:
             lo = s
             while hi - lo > EVENT_TOL:
                 mid = 0.5 * (lo + hi)
-                try:
-                    y_mid = _rk4_span(probe, s, y, mid)
-                except DomainGuard:
-                    y_mid = _hermite(s, y, k1, s_new, y_new, k7, mid)
+                y_mid = _dense(cont, (mid - s) / h)
                 if g_prev < 0.0 <= sign * g_fn(mid, y_mid):
                     hi, y_hi = mid, y_mid
                 else:
@@ -268,15 +249,14 @@ def integrate(
         if grid:
             while next_grid <= hi + 1e-15:
                 dense_s.append(next_grid)
-                dense_y.append(_hermite(s, y, k1, s_new, y_new, k7, next_grid))
+                dense_y.append(_dense(cont, (next_grid - s) / h))
                 next_grid += grid
         if fired:
             if grid:
                 dense_s.append(hi)
                 dense_y.append(list(y_hi))
             return IntegrationResult(
-                "event", hi, y_hi, dense_s, dense_y, n_steps, n_rhs, n_rejected,
-                n_probe_rhs,
+                "event", hi, y_hi, dense_s, dense_y, n_steps, n_rhs, n_rejected
             )
 
         s, y, k1, g_prev = s_new, y_new, k7, g_new
@@ -285,29 +265,26 @@ def integrate(
         else:
             h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.2))
 
-    return IntegrationResult(
-        "budget", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected, n_probe_rhs
-    )
+    return IntegrationResult("budget", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected)
 
 
-def _hermite(
-    s0: float,
-    y0: list[float],
-    f0: list[float],
-    s1: float,
-    y1: list[float],
-    f1: list[float],
-    s: float,
-) -> list[float]:
-    """Cubic interpolation matching values and slopes at both step ends."""
-    h = s1 - s0
-    t = (s - s0) / h
-    t2 = t * t
-    t3 = t2 * t
-    a = 2 * t3 - 3 * t2 + 1
-    b = t3 - 2 * t2 + t
-    c = -2 * t3 + 3 * t2
-    d = t3 - t2
-    return [
-        a * y0[i] + b * h * f0[i] + c * y1[i] + d * h * f1[i] for i in range(len(y0))
-    ]
+def _continuous_extension(h, y0, y1, k1, k3, k4, k5, k6, k7) -> list[tuple]:
+    """Per-coordinate coefficients (y0, r2, r3, r4, r5) of the step's interpolant.
+
+    At the step fraction t, y = y0 + t (r2 + (1 - t) (r3 + t (r4 + (1 - t) r5))):
+    4th order, equal to y0 and y1 at the ends, with the pair's slopes k1 and
+    k7 there.
+    """
+    cont = []
+    for a, b, s1, s3, s4, s5, s6, s7 in zip(y0, y1, k1, k3, k4, k5, k6, k7):
+        r2 = b - a
+        r3 = h * s1 - r2
+        r5 = h * (D1 * s1 + D3 * s3 + D4 * s4 + D5 * s5 + D6 * s6 + D7 * s7)
+        cont.append((a, r2, r3, r2 - h * s7 - r3, r5))
+    return cont
+
+
+def _dense(cont: list[tuple], theta: float) -> list[float]:
+    """The interpolant at the step fraction ``theta``."""
+    eta = 1.0 - theta
+    return [a + theta * (r2 + eta * (r3 + theta * (r4 + eta * r5))) for a, r2, r3, r4, r5 in cont]

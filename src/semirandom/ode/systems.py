@@ -30,42 +30,35 @@ PM_S_BUDGET = 2.0
 PM_UPPER_MARGIN = 1e-5
 
 
-def _clip01(v: float) -> float:
-    if v < 0.0:
-        return 0.0
-    if v > 1.0:
-        return 1.0
-    return v
-
-
 def rhs_min_degree(q: int, k: int, l: int):
     """Drift of the degree counts (y_q..y_{l-1}) during phase q.
 
     The circle demotes one minimum-degree vertex per round; the selected
     square promotes a vertex of its own degree class, with class
     probabilities given by differences of k-th powers of tail fractions.
-    Partial sums are clipped to [0, 1] before exponentiation.
+    Partial sums are clipped to [0, 1] before exponentiation.  The drift of
+    y_{q+i} reads only y_q..y_{q+i}, so the system is triangular.
     """
     if not 0 <= q < l:
         raise ValueError("phase index out of range")
-    m = l - q
 
     def drift(_s: float, y: list[float]) -> list[float]:
-        powers = [1.0]
-        c = 0.0
-        for v in y:
-            c += v
-            powers.append(_clip01(1.0 - c) ** k)
+        # p_prev, p and p_next: k-th powers of the fractions of vertices of
+        # degree at least q+i-1, q+i and q+i+1 (every vertex has degree >= q)
         out = []
-        for i in range(m):
-            d = powers[i + 1] - powers[i]  # -P(square in class q+i)
+        c = 0.0
+        p_prev = p = 1.0
+        for i, v in enumerate(y):
+            c += v
+            u = 1.0 - c
+            p_next = (0.0 if u < 0.0 else 1.0 if u > 1.0 else u) ** k
             if i == 0:
-                d -= 1.0
-            if i == 1:
-                d += 1.0
-            if i >= 1:
-                d += powers[i - 1] - powers[i]
-            out.append(d)
+                out.append(p_next - p - 1.0)
+            elif i == 1:
+                out.append(p_next - p + 1.0 + (p_prev - p))
+            else:
+                out.append(p_next - p + (p_prev - p))
+            p_prev, p = p, p_next
         return out
 
     return drift
@@ -78,9 +71,11 @@ def rhs_pm(k: int, guard_eps: float = 1e-15):
         x, r = y
         if x >= 1.0 - guard_eps:
             raise DomainGuard(f"saturated fraction {x!r} at the singular boundary")
-        xr = _clip01(x - r) ** k
-        xk = _clip01(x) ** k
-        rk = _clip01(r) ** k
+        # each base is clipped to [0, 1] before exponentiation
+        xr = x - r
+        xr = (0.0 if xr < 0.0 else 1.0 if xr > 1.0 else xr) ** k
+        xk = (0.0 if x < 0.0 else 1.0 if x > 1.0 else x) ** k
+        rk = (0.0 if r < 0.0 else 1.0 if r > 1.0 else r) ** k
         dx = 2.0 * (1.0 - xr)
         dr = -2.0 * (1.0 - xr) * r / (1.0 - x) - xk + 2.0 * xr - rk
         return [dx, dr]
@@ -96,10 +91,14 @@ def rhs_ham(k: int, guard_eps: float = 1e-15):
         if x >= 1.0 - guard_eps:
             raise DomainGuard(f"path fraction {x!r} at the singular boundary")
         w = 1.0 - x
-        xy = _clip01(x + yy) ** k
-        xk = _clip01(x) ** k
-        x2r = _clip01(x - 2.0 * r) ** k
-        r3 = _clip01(3.0 * r) ** k
+        # each base is clipped to [0, 1] before exponentiation
+        xy = x + yy
+        xy = (0.0 if xy < 0.0 else 1.0 if xy > 1.0 else xy) ** k
+        xk = (0.0 if x < 0.0 else 1.0 if x > 1.0 else x) ** k
+        x2r = x - 2.0 * r
+        x2r = (0.0 if x2r < 0.0 else 1.0 if x2r > 1.0 else x2r) ** k
+        r3 = 3.0 * r
+        r3 = (0.0 if r3 < 0.0 else 1.0 if r3 > 1.0 else r3) ** k
         pb = xy - xk
         pc = xk - x2r
         dx = 2.0 * pb + (1.0 + yy / w) * pc
@@ -117,8 +116,8 @@ class PhaseSolution:
     ``grid_y`` holds one row per tracked coordinate on the uniform grid
     ``grid_s``; retired minimum-degree coordinates are zero-filled.
     ``n_steps``, ``n_rejected`` and ``n_rhs`` count accepted steps,
-    rejected trial steps and drift evaluations, and ``n_probe_rhs`` the
-    event probes' drift evaluations, each summed over the phases.
+    rejected trial steps and drift evaluations (every one, the event's
+    location included), each summed over the phases.
     """
 
     property: str
@@ -132,7 +131,6 @@ class PhaseSolution:
     n_steps: int = 0
     n_rhs: int = 0
     n_rejected: int = 0
-    n_probe_rhs: int = 0
 
     def coordinate(self, label: str) -> list[float]:
         return self.grid_y[self.labels.index(label)]
@@ -143,7 +141,8 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
 
     Phase q tracks (y_q..y_{l-1}) from the previous phase's terminal values
     and ends at the localized zero of its leading coordinate; the constant
-    is the last breakpoint.
+    is the last breakpoint.  Breakpoint q is the constant of target q + 1,
+    since the drift is triangular (see ``rhs_min_degree``).
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be >= 1")
@@ -156,7 +155,6 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     total_steps = 0
     total_rhs = 0
     total_rejected = 0
-    total_probe_rhs = 0
     for q in range(l):
         system = OdeSystem(
             dim=l - q,
@@ -167,7 +165,6 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         total_steps += res.n_steps
         total_rhs += res.n_rhs
         total_rejected += res.n_rejected
-        total_probe_rhs += res.n_probe_rhs
         if res.status != "event":
             raise OdeFailure(
                 f"phase {q} of the degree system (k={k}, l={l}) ended without "
@@ -195,10 +192,14 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
         n_steps=total_steps,
         n_rhs=total_rhs,
         n_rejected=total_rejected,
-        n_probe_rhs=total_probe_rhs,
     )
-    if sol.constant < l / 2:
-        raise OdeFailure(f"degree constant {sol.constant} below the trivial bound {l/2}")
+    # breakpoint q is the constant of target q + 1, and a round adds two
+    # degrees, so each lies at or above (q + 1) / 2
+    for target, tau in enumerate(breakpoints, 1):
+        if tau < target / 2:
+            raise OdeFailure(
+                f"degree constant {tau} for l={target} below the trivial bound {target / 2}"
+            )
     return sol
 
 
@@ -235,7 +236,6 @@ def _solve_stop(
         n_steps=res.n_steps,
         n_rhs=res.n_rhs,
         n_rejected=res.n_rejected,
-        n_probe_rhs=res.n_probe_rhs,
     )
 
 
@@ -302,6 +302,11 @@ def emit_tables(
     (targets 1 and 2 respectively); the matching upper bound includes the
     fixed completion margin.  A matching or path solve that misses its
     threshold raises ``OdeFailure``, so no table carries an unfinished bound.
+    The degree grid is one ladder per k: the drift is triangular, so the
+    l-system is the first l coordinates of the system for the largest l,
+    and target l is breakpoint l - 1 of that one solve.  Its step control
+    sees every coordinate, so a rung differs from its own l-solve in the
+    last bits only.
     The tables read only the constants, so every solve runs without a
     dense grid; sampling never changes the step sequence, so the constants
     are the ones a sampled solve gives.
@@ -309,10 +314,13 @@ def emit_tables(
     cfg = replace(cfg or IntegratorConfig(), dense_step=None)
     records: list[TableRecord] = []
     if property_name == "min_degree":
-        for l in l_range or range(1, 6):
+        ls = list(l_range or range(1, 6))
+        if min(ls) < 1:
+            raise ValueError("k and l must be >= 1")
+        ladders = {k: solve_min_degree(k, max(ls), cfg).breakpoints for k in k_range}
+        for l in ls:
             for k in k_range:
-                sol = solve_min_degree(k, l, cfg)
-                records.append(TableRecord("min_degree", k, l, sol.constant, "tau"))
+                records.append(TableRecord("min_degree", k, l, ladders[k][l - 1], "tau"))
     elif property_name == "perfect_matching":
         for k in k_range:
             lower = solve_min_degree(k, 1, cfg)

@@ -53,6 +53,27 @@ def test_dense_grid_matches_closed_form():
         assert abs(y[0] - math.exp(-s)) < 1e-9
 
 
+@pytest.mark.parametrize("budget", [1.0, 2.0, 5.0])
+def test_uncapped_steps_locate_the_event_on_the_interpolant(budget):
+    # y' = -y crosses 1/2 at ln 2; uncapped, about 20 steps span the run, and
+    # the event and every grid sample are read off the step's interpolant
+    system = OdeSystem(
+        dim=1,
+        drift=lambda s, y: [-y[0]],
+        event=Event(lambda s, y: y[0] - 0.5, direction=-1),
+    )
+    res = integrate(system, IntegratorConfig(), [1.0], s_budget=budget)
+    assert res.status == "event" and res.n_steps <= 25
+    assert abs(res.y_end[0] - 0.5) < 1e-12
+    # the trajectory's own error at rtol 1e-10 moves the crossing by up to
+    # 1.5e-11; a tighter rtol moves it less
+    assert abs(res.s_end - math.log(2.0)) < 2e-11
+    for s, y in zip(res.dense_s, res.dense_y):
+        assert abs(y[0] - math.exp(-s)) < 1e-10
+    fine = integrate(system, IntegratorConfig(rtol=1e-12), [1.0], s_budget=budget)
+    assert abs(fine.s_end - math.log(2.0)) < 1e-12
+
+
 def test_dense_grid_optional():
     cfg = IntegratorConfig(dense_step=None)
     system = OdeSystem(dim=1, drift=lambda s, y: [1.0])
@@ -74,7 +95,8 @@ def test_guard_violations_shrink_steps_then_fail():
 
 
 def test_step_limit_reported():
-    cfg = IntegratorConfig(max_steps=5)
+    # capped, five steps cannot reach s = 1 (uncapped they can)
+    cfg = IntegratorConfig(max_step=1e-2, max_steps=5)
     system = OdeSystem(dim=1, drift=lambda s, y: [1.0])
     res = integrate(system, cfg, [0.0], s_budget=1.0)
     assert res.status == "failed"

@@ -77,6 +77,36 @@ def test_matching_law_sums_to_one():
     assert float(res.expectation) > 2.0
 
 
+def test_every_visited_law_sums_to_one(monkeypatch):
+    # the forward walk keeps the live mass as 1 minus the absorbed mass,
+    # which is exact only when every transition law sums to exactly 1
+    import semirandom.harness.oracle as oracle_module
+
+    original = oracle_module._forward_law
+    visited = 0
+
+    def checked_walk(start, step, *args, **kwargs):
+        def checked_step(state):
+            nonlocal visited
+            law = step(state)
+            assert sum(law.values()) == 1, state
+            visited += 1
+            return law
+
+        return original(start, checked_step, *args, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "_forward_law", checked_walk)
+    policies = list(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES, LOOP_POLICIES))
+    for n, k, l in itertools.product(range(1, 6), (1, 2, 3), (1, 2, 3)):
+        for circle, square, loop in policies:
+            res = exact_small_oracle(n, k, "min_degree", l, circle, square, loop)
+            assert res.tail == 0 and sum(res.distribution.values()) == 1
+    for n, k in itertools.product((2, 4, 6), (1, 2, 3)):
+        res = exact_small_oracle(n, k, "perfect_matching")
+        assert sum(res.distribution.values()) + res.tail == 1
+    assert visited > 0
+
+
 def test_rejects_intractable_or_unknown_targets():
     for n, k, target, l in [
         (41, 1, "min_degree", 1),  # past n <= 40

@@ -63,6 +63,93 @@ def test_ham_drift_values():
     assert abs(dx - 0.65) < 1e-15
 
 
+def _clip01(v):
+    if v < 0.0:
+        return 0.0
+    if v > 1.0:
+        return 1.0
+    return v
+
+
+def _reference_rhs_min_degree(q, k, l):
+    # the list-of-powers form the written-out drift replaced
+    m = l - q
+
+    def drift(_s, y):
+        powers = [1.0]
+        c = 0.0
+        for v in y:
+            c += v
+            powers.append(_clip01(1.0 - c) ** k)
+        out = []
+        for i in range(m):
+            d = powers[i + 1] - powers[i]
+            if i == 0:
+                d -= 1.0
+            if i == 1:
+                d += 1.0
+            if i >= 1:
+                d += powers[i - 1] - powers[i]
+            out.append(d)
+        return out
+
+    return drift
+
+
+def _reference_rhs_pm(k):
+    def drift(_s, y):
+        x, r = y
+        xr = _clip01(x - r) ** k
+        xk = _clip01(x) ** k
+        rk = _clip01(r) ** k
+        dx = 2.0 * (1.0 - xr)
+        dr = -2.0 * (1.0 - xr) * r / (1.0 - x) - xk + 2.0 * xr - rk
+        return [dx, dr]
+
+    return drift
+
+
+def _reference_rhs_ham(k):
+    def drift(_s, y):
+        x, yy, r = y
+        w = 1.0 - x
+        xy = _clip01(x + yy) ** k
+        xk = _clip01(x) ** k
+        x2r = _clip01(x - 2.0 * r) ** k
+        r3 = _clip01(3.0 * r) ** k
+        pb = xy - xk
+        pc = xk - x2r
+        dx = 2.0 * pb + (1.0 + yy / w) * pc
+        dy = 2.0 * (1.0 - xy) - 2.0 * pb - 2.0 * pc * yy / w
+        dr = -2.0 * r / w * pb - ((w + yy) * r / (w * w) + 1.0) * pc + (x2r - r3)
+        return [dx, dy, dr]
+
+    return drift
+
+
+def test_written_out_drifts_match_the_clipped_reference_bit_for_bit():
+    # the inputs overshoot [0, 1] both ways, so every clip branch is taken
+    rng = random.Random(7)
+
+    def bits(values):
+        return [v.hex() for v in values]
+
+    for _ in range(20_000):
+        l = rng.randint(1, 6)
+        q = rng.randint(0, l - 1)
+        k = rng.randint(1, 8)
+        y = [rng.uniform(-0.4, 0.9) for _ in range(l - q)]
+        assert bits(rhs_min_degree(q, k, l)(0.0, y)) == bits(
+            _reference_rhs_min_degree(q, k, l)(0.0, y)
+        ), (q, k, l, y)
+    for _ in range(10_000):
+        k = rng.randint(1, 10)
+        y = [rng.uniform(-0.5, 0.99), rng.uniform(-0.5, 1.5)]
+        assert bits(rhs_pm(k)(0.0, y)) == bits(_reference_rhs_pm(k)(0.0, y)), (k, y)
+        y = [rng.uniform(-0.5, 0.99), rng.uniform(-0.5, 1.5), rng.uniform(-0.5, 0.5)]
+        assert bits(rhs_ham(k)(0.0, y)) == bits(_reference_rhs_ham(k)(0.0, y)), (k, y)
+
+
 def test_drift_identities_against_case_probability_compositions():
     rng = random.Random(42)
     for _ in range(100):
@@ -186,6 +273,23 @@ def test_emit_tables_links_lower_bounds_to_degree_targets():
     assert len(recs) == 4
     with pytest.raises(ValueError):
         emit_tables("clique", range(1, 2))
+    with pytest.raises(ValueError):
+        emit_tables("min_degree", range(1, 2), [0, 2])
+
+
+@pytest.mark.parametrize("l_range", [range(1, 6), [2, 5], [3, 1]], ids=str)
+def test_degree_table_reads_every_target_off_one_ladder_per_k(l_range):
+    # the drift is triangular, so target l is breakpoint l - 1 of the solve
+    # for the largest l; only the step control, which sees every coordinate,
+    # tells a rung from its own l-solve
+    ks = range(1, 4)
+    recs = emit_tables("min_degree", ks, l_range)
+    assert [(r.l, r.k) for r in recs] == [(l, k) for l in l_range for k in ks]
+    ladders = {k: solve_min_degree(k, max(l_range)).breakpoints for k in ks}
+    for r in recs:
+        assert r.constant == ladders[r.k][r.l - 1], (r.k, r.l)
+        assert abs(r.constant - solve_min_degree(r.k, r.l).constant) <= 1e-9, (r.k, r.l)
+        assert r.constant >= r.l / 2
 
 
 @pytest.fixture
@@ -228,10 +332,10 @@ def test_old_step_cap_gives_the_same_constants(rhs_counts):
 # solver, arguments, then the pins: constant repr, accepted steps, RHS
 # evaluations, sha256 prefix of repr(grid_y)
 SOLVE_PINS = [
-    (solve_min_degree, (3, 2), "1.0908089812188027", 118, 830, "651f152ddfbb93f8"),
-    (solve_pm, (1,), "1.2769438126973536", 558, 3535, "63c7a20065d74a5d"),
-    (solve_pm, (2, 1e-3), "0.9066317099378278", 218, 1309, "4ce9c6347f1b7a99"),
-    (solve_ham, (2,), "1.396151569595812", 471, 2827, "c3a7fec92530e79b"),
+    (solve_min_degree, (3, 2), "1.0908089812862272", 72, 656, "315ae3e820da08b8"),
+    (solve_pm, (1,), "1.276943814211652", 543, 3421, "da0bf6b54305276f"),
+    (solve_pm, (2, 1e-3), "0.9066317099384734", 218, 1339, "7a69bb8aba46667f"),
+    (solve_ham, (2,), "1.396151569594456", 463, 2791, "7dc294e6c1351906"),
 ]
 # the same solves under the old step cap of 1e-3: constant repr, accepted
 # steps, RHS evaluations
@@ -279,7 +383,7 @@ def test_phase_solutions_count_rhs_evaluations(rhs_counts):
 
 
 def test_every_drift_call_is_counted(monkeypatch):
-    # the stepper's calls and the event probes' calls together are every call
+    # the event is located on the step's interpolant, so n_rhs is every call
     import semirandom.ode.systems as systems
 
     calls = 0
@@ -299,5 +403,4 @@ def test_every_drift_call_is_counted(monkeypatch):
     for solver, args in ((solve_min_degree, (3, 2)), (solve_pm, (2,)), (solve_ham, (2,))):
         calls = 0
         sol = solver(*args)
-        assert sol.n_probe_rhs > 0, (solver.__name__, args)
-        assert calls == sol.n_rhs + sol.n_probe_rhs, (solver.__name__, args)
+        assert calls == sol.n_rhs, (solver.__name__, args)
