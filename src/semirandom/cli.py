@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 
 from .harness import (
     PROP_HAM,
@@ -220,15 +221,7 @@ def _cmd_dominance(args) -> int:
 
     spec = _spec_from_args(args).validate()
     report = dominance_experiment(spec, args.baseline, workers=args.threads)
-    payload = {
-        "strategy": report.strategy,
-        "baseline": report.baseline,
-        "mean_strategy": report.mean_strategy,
-        "mean_baseline": report.mean_baseline,
-        "p_value": report.p_value,
-        "trials": report.trials,
-    }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")
     return 0
 
 

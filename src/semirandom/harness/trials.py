@@ -67,6 +67,8 @@ class TrialSpec:
                 raise ValueError("minimum-degree target must be >= 1")
             if self.strategy not in MIN_DEGREE_STRATEGIES:
                 raise ValueError(f"unknown strategy {self.strategy!r}")
+            if self.threshold is not None:
+                raise ValueError("the minimum-degree target takes no threshold")
         elif self.strategy != "s0":
             raise ValueError("matching/cycle targets have a single built-in strategy")
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
@@ -167,7 +169,7 @@ def run_trials(spec: TrialSpec, workers: int = 1) -> TrialSummary:
     if workers > 1 and spec.trials > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, spec.trials)) as pool:
             results = list(pool.map(_run_one, itertools.repeat(spec), indices))
     else:
         results = [_run_one(spec, i) for i in indices]

@@ -8,6 +8,10 @@ uniform circle tie-break, the one rule that draws from them.  Vertices are
 1-based ids ``1..n``.  This module builds, counts and validates the state;
 edges are added only by the degree target's round kernel
 (``strategies.mindeg``, whose ``add_edge`` is one round of it).
+
+It is also the one home of the packed-list rule behind every target's
+uniform draws (``packed_list``, ``take``, ``put``, ``check_packed``): a
+leaving vertex's slot takes the list's tail, which fixes every later draw.
 """
 
 from __future__ import annotations
@@ -57,14 +61,41 @@ class ProcessConfig:
         return self
 
 
+def packed_list(n: int) -> tuple[list[int], list[int]]:
+    """(items, pos) of the packed list holding the vertices 1..n in id order."""
+    return list(range(1, n + 1)), [0, *range(n)]
+
+
+def take(items: list[int], pos: list[int], w: int) -> None:
+    """Take w out of ``items``: the list's tail fills w's slot.  ``pos[w]`` goes stale."""
+    last = items.pop()
+    if last != w:
+        p = pos[w]
+        items[p] = last
+        pos[last] = p
+
+
+def put(items: list[int], pos: list[int], w: int) -> None:
+    """Append w to ``items``."""
+    pos[w] = len(items)
+    items.append(w)
+
+
+def check_packed(items: list[int], pos: list[int], label: list[int], want: int) -> None:
+    """Assert that slot i of a packed list holds a vertex w with ``pos[w] == i``
+    and ``label[w] == want``, so no vertex is listed twice."""
+    for i, w in enumerate(items):
+        assert 0 < w < len(pos) and pos[w] == i and label[w] == want, f"slot {i} holds {w}"
+
+
 class DegreeBuckets:
     """Per-degree vertex counts, with per-degree vertex lists only where a rule draws from them.
 
     ``cnt[d]`` is the number of degree-d vertices.  With ``packed`` (the
     uniform circle rule, which draws a minimum-degree vertex by index),
     ``_lists[d]`` also holds the degree-d vertices in packed order and
-    ``pos[v]`` is v's slot there: the degree kernel moves a vertex by filling
-    its leaving slot with the list's tail and appending it to its new list.
+    ``pos[v]`` is v's slot there: the degree kernel moves a vertex by ``take``
+    from its old list and ``put`` on its new one.
     Without it both are None.
 
     Degrees only grow, so ``min_nonempty`` and ``max_nonempty`` advance
@@ -85,8 +116,8 @@ class DegreeBuckets:
         if top == 0:  # a fresh state: what the loops below build, in one step
             self.cnt = [n]
             if packed:
-                self._lists = [list(range(1, n + 1))]
-                self.pos = [0, *range(n)]
+                items, self.pos = packed_list(n)
+                self._lists = [items]
         else:
             self.cnt = [0] * (top + 1)
             for d in degree[1:]:
@@ -95,9 +126,7 @@ class DegreeBuckets:
                 self._lists = [[] for _ in range(top + 1)]
                 self.pos = [0] * (n + 1)
                 for v in range(1, n + 1):
-                    lst = self._lists[degree[v]]
-                    self.pos[v] = len(lst)
-                    lst.append(v)
+                    put(self._lists[degree[v]], self.pos, v)
         self.min_nonempty = 0
         self.max_nonempty = top
         while not self.cnt[self.min_nonempty]:
@@ -111,8 +140,8 @@ class DegreeBuckets:
         """O(n) rescan; raises AssertionError on any inconsistency.
 
         The counts are recounted from the degrees.  With packed lists, each
-        vertex sits at its ``pos`` slot of its degree's list, and the lists
-        hold n entries in all, so they hold nothing else.
+        degree's list passes ``check_packed``, and the lists hold n entries in
+        all, so every vertex is listed.
         """
         lists, degree, pos, cnt = self._lists, self.degree, self.pos, self.cnt
         top = max(degree[1:])
@@ -124,9 +153,8 @@ class DegreeBuckets:
         if lists is not None:
             total = sum(map(len, lists))
             assert total == self.n, f"lists cover {total} vertices, expected {self.n}"
-            for v in range(1, self.n + 1):
-                d, i = degree[v], pos[v]
-                assert d < len(lists) and 0 <= i < len(lists[d]) and lists[d][i] == v, (v, d, i)
+            for d, lst in enumerate(lists):
+                check_packed(lst, pos, degree, d)
         assert self.min_nonempty == min(degree[1:]), "stale minimum degree"
         assert self.min_nonempty not in degree[1 : self._lo], "minimum vertex below the cursor"
 

@@ -1,4 +1,4 @@
-"""Shared strategy pieces: outcome, square ranking, packed-list check, run driver, streams."""
+"""Shared strategy pieces: outcome, square ranking, run driver, streams."""
 
 from __future__ import annotations
 
@@ -28,13 +28,6 @@ def classify(rank, label: list[int], squares) -> tuple[int, int]:
     ranks = [rank[label[s]] for s in squares]
     best = min(ranks)
     return best, ranks.index(best)
-
-
-def check_packed(items: list[int], pos: list[int], label: list[int], want: int) -> None:
-    """Assert that slot i of a builder's packed list holds a vertex w with
-    ``pos[w] == i`` and ``label[w] == want``, so no vertex is listed twice."""
-    for i, w in enumerate(items):
-        assert 0 < w < len(pos) and pos[w] == i and label[w] == want, f"slot {i} holds {w}"
 
 
 def trial_source(config: ProcessConfig, trial_index: int = 0, streams=None):

@@ -21,11 +21,11 @@ used-up block only when a round is about to be played, where
 ``next_round`` would.  Cases b, c and d end in one call of ``_settle``,
 which files the absorbed vertices (if any), uncolours the reds whose
 pending edge pointed at one of them, and refiles the vertices within path
-distance 2 of a change.  Every list operation (a leaving vertex's slot
-takes the tail, a pop takes the last slot) and every draw keeps a fixed
-order, because the packed orders decide every later sample and every
-vertex the padding moves pop: the runs are the ones round-by-round play
-gives.
+distance 2 of a change.  Every list operation (``process.take`` fills a
+leaving vertex's slot with the tail, a pop takes the last slot) and every
+draw keeps a fixed order, because the packed orders decide every later
+sample and every vertex the padding moves pop: the runs are the ones
+round-by-round play gives.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..process import ProcessConfig
+from ..process import ProcessConfig, check_packed, packed_list, put, take
 from ..rng import SquareSource
-from .common import StepOutcome, check_packed, classify, play_blocks, trial_source
+from .common import StepOutcome, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from .mindeg import add_edge  # noqa: F401
 
@@ -103,11 +103,10 @@ class HamState:
         self.mate = [0] * (n + 1)
         self.red_target = [0] * (n + 1)
         self.red_at: dict[int, list[int]] = {}
-        self.unsat = list(range(1, n + 1))
+        self.unsat, self.pos = packed_list(n)
         self.matched: list[int] = []
         self.permissible: list[int] = []
         self.padding: list[int] = []
-        self.pos = [0, *range(n)]
         self.X = 0
         self.R = 0
         self.green_count = 0
@@ -239,8 +238,7 @@ def _uncolour_red(h: HamState, x: int) -> None:
     h.red_target[x] = 0
     h.R -= 1
     h.label[x] = PERMISSIBLE
-    h.pos[x] = len(h.permissible)
-    h.permissible.append(x)
+    put(h.permissible, h.pos, x)
 
 
 def _splice(h: HamState, a: int, b: int, chain: tuple[int, ...]) -> None:
@@ -280,8 +278,7 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
     dead: list[int] = []
     for w in absorbed:
         lab[w] = PERMISSIBLE
-        pos[w] = len(perm)
-        perm.append(w)
+        put(perm, pos, w)
         dead += h.red_at.get(w, ())
     h.X += len(absorbed)
     for x in dead:
@@ -318,18 +315,10 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
         else:
             new = PERMISSIBLE
         if L == PERMISSIBLE:  # take v out of the permissible list
-            j = pos[v]
-            last = perm.pop()
-            if last != v:
-                perm[j] = last
-                pos[last] = j
+            take(perm, pos, v)
         elif L == USELESS:  # a padded vertex turns structural: take it out of the padding
-            j = pos[v]
-            if j < len(pad) and pad[j] == v:
-                last = pad.pop()
-                if last != v:
-                    pad[j] = last
-                    pos[last] = j
+            if pos[v] < len(pad) and pad[pos[v]] == v:
+                take(pad, pos, v)
             if new == USELESS:
                 continue
             n_useless -= 1
@@ -340,21 +329,18 @@ def _settle(h: HamState, absorbed: tuple[int, ...], seeds: tuple[int, ...]) -> N
         elif new == USELESS:
             n_useless += 1
         else:
-            pos[v] = len(perm)
-            perm.append(v)
+            put(perm, pos, v)
         lab[v] = new
     target = 2 * h.R
     while n_useless > target and pad:  # the last padded vertex turns permissible
         v = pad.pop()
         lab[v] = PERMISSIBLE
-        pos[v] = len(perm)
-        perm.append(v)
+        put(perm, pos, v)
         n_useless -= 1
     while n_useless < target and perm:  # the last permissible vertex joins the padding
         v = perm.pop()
         lab[v] = USELESS
-        pos[v] = len(pad)
-        pad.append(v)
+        put(pad, pos, v)
         n_useless += 1
     h.green_count, h.useless_count = n_green, n_useless
 
@@ -391,23 +377,14 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
                 lab[v] = OFF_MATCHED
                 mate[u] = v
                 mate[v] = u
-                for w in (u, v):  # take w out of the unsaturated list
-                    p = pos[w]
-                    last = uitems.pop()
-                    if last != w:
-                        uitems[p] = last
-                        pos[last] = p
-                for w in (u, v):  # append w to the matched list
-                    pos[w] = len(mitems)
-                    mitems.append(w)
+                take(uitems, pos, u)  # u and v move to the matched list
+                take(uitems, pos, v)
+                put(mitems, pos, u)
+                put(mitems, pos, v)
         elif rank == 1:  # append u and its mate at the tail
             m = mate[u]
-            for w in (u, m):  # take w out of the matched list
-                p = pos[w]
-                last = mitems.pop()
-                if last != w:
-                    mitems[p] = last
-                    pos[last] = p
+            take(mitems, pos, u)
+            take(mitems, pos, m)
             mate[u] = 0
             mate[m] = 0
             tail = h.tail
@@ -441,11 +418,7 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
                 chain = (v, z)
                 items = mitems
             for w in absorbed:  # take z, or z then its mate, out of its list
-                p = pos[w]
-                last = items.pop()
-                if last != w:
-                    items[p] = last
-                    pos[last] = p
+                take(items, pos, w)
             _splice(h, u, y, chain)
             _settle(h, absorbed, (u, y, *absorbed))
         elif rank == 3:  # colour a new pending edge from a permissible vertex
@@ -454,11 +427,7 @@ def _play_block(h: HamState, buf: list[int], i: int, end: int, k: int, rng,
             assert nm + nu > 0, "an incomplete path leaves off-path vertices"
             x = int(rng.integers(nm + nu))
             v = mitems[x] if x < nm else uitems[x - nm]
-            p = pos[u]  # take u out of the permissible list
-            last = perm.pop()
-            if last != u:
-                perm[p] = last
-                pos[last] = p
+            take(perm, pos, u)
             lab[u] = RED
             h.R += 1
             red_target[u] = v

@@ -24,9 +24,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..process import ProcessConfig
+from ..process import ProcessConfig, check_packed, packed_list, take
 from ..rng import SquareSource
-from .common import StepOutcome, check_packed, classify, play_blocks, trial_source
+from .common import StepOutcome, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
 from .mindeg import add_edge  # noqa: F401
 
@@ -63,8 +63,7 @@ class PMState:
         self.mate = [0] * (n + 1)
         self.green_partner = [0] * (n + 1)
         self.green_at: dict[int, list[int]] = {}
-        self.unsat = list(range(1, n + 1))
-        self.pos = [0, *range(n)]
+        self.unsat, self.pos = packed_list(n)
         self.R = 0
         self.debug = debug
         self.played = Counter() if debug else None
@@ -182,12 +181,8 @@ def _play_block(pm: PMState, buf: list[int], i: int, end: int, k: int, rng,
                     lab[v] = M_UNCOL
                     mate[u] = v
                     mate[v] = u
-                    for w in (y, v):  # take w out of the unsaturated list
-                        p = pos[w]
-                        last = items.pop()
-                        if last != w:
-                            items[p] = last
-                            pos[last] = p
+                    take(items, pos, y)  # y and v leave the unsaturated list
+                    take(items, pos, v)
                     for w in (y, v):  # drop the pending edges targeting w
                         gs = green_at.pop(w, None)
                         if gs:

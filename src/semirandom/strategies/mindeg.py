@@ -31,7 +31,10 @@ from ..process import (
     LOOP_COUNTS_ONE,
     LOOP_COUNTS_TWO,
     init_state,
+    packed_list,
+    put,
     state_from_degrees,
+    take,
 )
 from ..rng import SquareSource, trial_streams
 from .common import StepOutcome, play_blocks, trial_source
@@ -124,14 +127,8 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
                         lists.append([])
             cnt[new] += 1
             if lists is not None:
-                left = lists[d]
-                last = left.pop()
-                if last != x:
-                    left[pos[x]] = last
-                    pos[last] = pos[x]
-                dest = lists[new]
-                pos[x] = len(dest)
-                dest.append(x)
+                take(lists[d], pos, x)
+                put(lists[new], pos, x)
             if x == v:
                 break
             x = v
@@ -348,8 +345,7 @@ def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:
     n = config.n
     if n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    unsat = list(range(1, n + 1))
-    pos = [0, *range(n)]
+    unsat, pos = packed_list(n)
     src, rng_ch = trial_source(config, trial_index)
     for _ in range(n // 2):
         squares = src.next_round()
@@ -364,12 +360,8 @@ def greedy_pm_large_k(config: ProcessConfig, trial_index: int = 0) -> int:
             continue
         v = unsat[rng_ch.integers(len(unsat))]
         if v != u:
-            for w in (u, v):  # take w out of the list; the tail fills its slot
-                p = pos[w]
-                last = unsat.pop()
-                if last != w:
-                    unsat[p] = last
-                    pos[last] = p
+            take(unsat, pos, u)
+            take(unsat, pos, v)
     return len(unsat)
 
 
@@ -382,8 +374,7 @@ def greedy_ham_path(config: ProcessConfig, trial_index: int = 0) -> int:
     """
     config.validate()
     n = config.n
-    off = list(range(1, n + 1))
-    pos = [0, *range(n)]
+    off, pos = packed_list(n)
     tail = 0
     src, rng_ch = trial_source(config, trial_index)
     for _ in range(n):
@@ -406,11 +397,7 @@ def greedy_ham_path(config: ProcessConfig, trial_index: int = 0) -> int:
             joined: tuple[int, ...] = (u, v)
         else:
             joined = (u,)
-        for w in joined:  # take w out of the list; the tail fills its slot
-            p = pos[w]
-            last = off.pop()
-            if last != w:
-                off[p] = last
-                pos[last] = p
+        for w in joined:
+            take(off, pos, w)
         tail = u
     return len(off)

@@ -126,6 +126,19 @@ def test_simulate_rejects_nonpositive_threads(capsys, threads):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("command,prop,threshold",
+                         [("compare", "mindeg1", "0.3"), ("simulate", "mindeg2", "0.5")])
+def test_degree_target_rejects_a_threshold(capsys, command, prop, threshold):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, command, "--property", prop, "--n", "100000", "--k", "1",
+        "--trials", "4", "--threshold", threshold, "--threads", "1",
+    )
+    assert (code, out) == (1, "")
+    assert "takes no threshold" in err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--property", "mindeg1", "--n", "4", "--k", "1",

@@ -80,6 +80,36 @@ def test_spec_validation():
         TrialSpec(property="perfect_matching", n=4, k=1, threshold=1.5).validate()
 
 
+def test_degree_target_rejects_a_threshold():
+    with pytest.raises(ValueError, match="no threshold"):
+        TrialSpec(property="min_degree", n=4, k=1, threshold=0.3).validate()
+
+
+def test_run_trials_caps_the_pool_at_the_trial_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SpyPool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    spec = TrialSpec(property="min_degree", n=60, k=1, trials=2, seed=4)
+    pooled = run_trials(spec, workers=6)
+    assert sizes == [2]
+    assert pooled.results == run_trials(spec).results
+
+
 def test_run_trials_deterministic_across_workers():
     spec = TrialSpec(property="min_degree", n=400, k=2, l=2, trials=6, seed=17)
     serial = run_trials(spec, workers=1)

@@ -17,7 +17,11 @@ from semirandom.process import (
     LOOP_COUNTS_ONE,
     LOOP_POLICIES,
     TIE_UNIFORM,
+    check_packed,
+    packed_list,
+    put,
     state_from_degrees,
+    take,
 )
 
 
@@ -32,6 +36,33 @@ def test_init_state_empty_graph():
 def test_init_state_single_vertex():
     state = init_state(ProcessConfig(n=1, k=1))
     assert state.degree[1] == 0
+
+
+def test_take_and_put_follow_the_tail_fill_on_lists_sharing_one_pos():
+    # three lists on one position array, driven by random moves; the reference
+    # writes the rule out: a leaving vertex's slot takes the tail, an arrival appends
+    n = 40
+    rng = np.random.default_rng(23)
+    items, pos = packed_list(n)
+    lists, ref = [items, [], []], [list(items), [], []]
+    label = [0] * (n + 1)  # the list a vertex is in, or -1 for none
+    for _ in range(2000):
+        w = int(rng.integers(1, n + 1))
+        old = label[w]
+        if old >= 0:
+            take(lists[old], pos, w)
+            i = ref[old].index(w)
+            last = ref[old].pop()
+            if last != w:
+                ref[old][i] = last
+        new = int(rng.integers(-1, 3))
+        if new >= 0:
+            put(lists[new], pos, w)
+            ref[new].append(w)
+        label[w] = new
+        assert lists == ref
+        for L, lst in enumerate(lists):
+            check_packed(lst, pos, label, L)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
