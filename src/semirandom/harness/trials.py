@@ -74,6 +74,10 @@ class TrialSpec:
         if self.threshold is not None and not 0.0 < self.threshold < 1.0:
             raise ValueError("threshold must lie in (0, 1)")
         self.config().validate()
+        if self.property == PROP_PM and self.n % 2:
+            raise ValueError("perfect matching needs an even vertex count")
+        if self.property == PROP_HAM and self.n < 3:
+            raise ValueError("a cycle needs at least 3 vertices")
         return self
 
     def config(self) -> ProcessConfig:

@@ -299,9 +299,10 @@ def emit_tables(
     """Constant grids: degree targets, or matching/path bounds per k.
 
     The matching and path tables carry lower bounds from the degree system
-    (targets 1 and 2 respectively); the matching upper bound includes the
-    fixed completion margin.  A matching or path solve that misses its
-    threshold raises ``OdeFailure``, so no table carries an unfinished bound.
+    (targets 1 and 2 respectively) and take no ``l_range``; the matching
+    upper bound includes the fixed completion margin.  A matching or path
+    solve that misses its threshold raises ``OdeFailure``, so no table
+    carries an unfinished bound.
     The degree grid is one ladder per k: the drift is triangular, so the
     l-system is the first l coordinates of the system for the largest l,
     and target l is breakpoint l - 1 of that one solve.  Its step control
@@ -313,6 +314,8 @@ def emit_tables(
     """
     cfg = replace(cfg or IntegratorConfig(), dense_step=None)
     records: list[TableRecord] = []
+    if l_range is not None and property_name in ("perfect_matching", "hamilton_cycle"):
+        raise ValueError("the matching and cycle tables take no l range")
     if property_name == "min_degree":
         ls = list(l_range or range(1, 6))
         if min(ls) < 1:

@@ -62,8 +62,9 @@ class ProcessConfig:
 
 
 def packed_list(n: int) -> tuple[list[int], list[int]]:
-    """(items, pos) of the packed list holding the vertices 1..n in id order."""
-    return list(range(1, n + 1)), [0, *range(n)]
+    """(items, pos) of the packed list of 1..n (n >= 1) in id order; ``pos`` reuses ``items``' ints."""
+    items = list(range(1, n + 1))
+    return items, [0, 0, *items[:-1]]
 
 
 def take(items: list[int], pos: list[int], w: int) -> None:

@@ -517,6 +517,7 @@ def ham_completion(h: HamState, src: SquareSource, rng, t: int = 0,
     While vertices remain off the path the regular rounds keep absorbing
     them.  Once the path spans all vertices, rounds pass until a square
     lands on an endpoint, which is then joined to the opposite endpoint.
+    The cycle's certificate, ``verify_hamiltonian_cycle``, costs one byte per vertex.
     ``t`` is the round count so far and ``hooks`` are ``play_blocks``'
     observe/check arguments, as in ``pm_completion``.
     """
@@ -535,13 +536,19 @@ def ham_completion(h: HamState, src: SquareSource, rng, t: int = 0,
 
 def verify_hamiltonian_cycle(cycle: list[int], n: int, played=None) -> None:
     """Check that ``cycle`` visits every vertex once, and, given the multiset of
-    played edges (smaller end first), that each of its edges was played."""
+    played edges (smaller end first), that each of its edges was played.  It
+    allocates one byte per vertex: n entries in 1..n (range-checked first, as a
+    ``bytearray`` takes index 0 and wraps -1) that mark n bytes are a permutation."""
     if n < 3:
         raise AssertionError("a cycle needs at least 3 vertices")
-    if len(cycle) != n or set(cycle) != set(range(1, n + 1)):
+    marks = bytearray(n + 1)
+    if len(cycle) == n and 1 <= min(cycle) and max(cycle) <= n:
+        for v in cycle:
+            marks[v] = 1
+    if marks.count(1) != n:
         raise AssertionError("cycle must visit every vertex exactly once")
     if played is not None:
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        for a, b in ((cycle[i], cycle[i + 1 - n]) for i in range(n)):  # closing pair last
             if ((a, b) if a < b else (b, a)) not in played:
                 raise AssertionError(f"cycle edge {a}-{b} was never played")
 

@@ -48,6 +48,31 @@ def copy_state():
     return lambda state: pickle.loads(pickle.dumps(state, pickle.HIGHEST_PROTOCOL))
 
 
+@pytest.fixture
+def spy_pool(monkeypatch):
+    """Swap the process pool for one that maps in this process; returns the
+    list of worker counts of the pools built, so a test sees whether one was."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SpyPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return sizes
+
+
 def move(state, v, out=None, into=None):
     """Take v out of the builder state's packed list ``out``, its slot taking
     the tail, then append it to ``into`` (either list may be None), keeping

@@ -139,6 +139,37 @@ def test_degree_target_rejects_a_threshold(capsys, command, prop, threshold):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("prop", ["pm", "ham"])
+def test_matching_and_cycle_tables_reject_an_l_range(capsys, prop):
+    code, out, err = run_cli(
+        capsys, "ode-table", "--property", prop, "--k-range", "1..2", "--l-range", "1..3",
+    )
+    assert (code, out) == (1, "")
+    assert "no l range" in err
+
+
+@pytest.mark.parametrize("command,prop,n,message", [
+    ("simulate", "pm", "101", "even vertex count"),
+    ("compare", "pm", "101", "even vertex count"),
+    ("simulate", "ham", "2", "at least 3 vertices"),
+    ("compare", "ham", "2", "at least 3 vertices"),
+])
+def test_vertex_count_fails_before_any_pool_or_solve(capsys, monkeypatch, spy_pool,
+                                                     command, prop, n, message):
+    import semirandom.cli as cli
+
+    solved = []
+    for name in ("solve_pm", "solve_ham"):
+        monkeypatch.setattr(cli, name, lambda *a, **kw: solved.append(a))
+    code, out, err = run_cli(
+        capsys, command, "--property", prop, "--n", n, "--k", "1",
+        "--trials", "2", "--threads", "2",
+    )
+    assert (code, out) == (1, "")
+    assert message in err
+    assert (spy_pool, solved) == ([], [])
+
+
 def test_unknown_flag_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "simulate", "--property", "mindeg1", "--n", "4", "--k", "1",

@@ -514,3 +514,47 @@ def test_certificate_rejects_a_cycle_edge_never_played():
     del h.played[closing]
     with pytest.raises(AssertionError, match="never played"):
         verify_hamiltonian_cycle(cycle, n, h.played)
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        # a mark at 0, or at -1 (which wraps to 5), would complete a count of
+        # five marks, so those two cycles pass unless range-checked first
+        pytest.param([1, 2, 3, 4, 4], id="duplicate"),
+        pytest.param([1, 2, 4, 5], id="missing"),
+        pytest.param([0, 1, 2, 3, 4], id="zero"),
+        pytest.param([1, 2, 3, 4, 6], id="n-plus-1"),
+        pytest.param([-1, 1, 2, 3, 4], id="minus-1"),
+        pytest.param([1, 2, 3, 4], id="one-too-few"),
+        pytest.param([1, 2, 3, 4, 5, 1], id="one-too-many"),
+    ],
+)
+def test_certificate_rejects_a_cycle_that_is_not_a_permutation(cycle):
+    with pytest.raises(AssertionError, match="every vertex exactly once"):
+        verify_hamiltonian_cycle(cycle, 5)
+
+
+def test_certificate_accepts_a_rotation_and_the_reversal():
+    n = 7
+    h = build_path(n, [3, 1, 4, 7, 5, 2, 6])
+    rng_sq, rng_ch = trial_streams(11)
+    _, cycle = ham_completion(h, SquareSource(n, 2, rng_sq), rng_ch)
+    for shifted in (cycle, cycle[3:] + cycle[:3], cycle[::-1]):
+        verify_hamiltonian_cycle(shifted, n, h.played)
+    with pytest.raises(AssertionError, match="never played"):
+        verify_hamiltonian_cycle([1, 2, 3, 4, 5, 6, 7], n, h.played)
+
+
+def test_certificate_allocates_less_than_two_bytes_per_vertex():
+    import tracemalloc
+
+    n = 100_000
+    cycle = list(range(1, n + 1))
+    tracemalloc.start()
+    try:
+        verify_hamiltonian_cycle(cycle, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n

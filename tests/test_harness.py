@@ -85,29 +85,23 @@ def test_degree_target_rejects_a_threshold():
         TrialSpec(property="min_degree", n=4, k=1, threshold=0.3).validate()
 
 
-def test_run_trials_caps_the_pool_at_the_trial_count(monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-
-    class SpyPool:  # records the pool size and maps in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+def test_run_trials_caps_the_pool_at_the_trial_count(spy_pool):
     spec = TrialSpec(property="min_degree", n=60, k=1, trials=2, seed=4)
     pooled = run_trials(spec, workers=6)
-    assert sizes == [2]
+    assert spy_pool == [2]
     assert pooled.results == run_trials(spec).results
+
+
+@pytest.mark.parametrize("prop,n,message", [
+    ("perfect_matching", 101, "even vertex count"),
+    ("hamilton_cycle", 2, "at least 3 vertices"),
+])
+def test_vertex_count_is_checked_before_a_pool_is_built(spy_pool, prop, n, message):
+    with pytest.raises(ValueError, match=message):
+        TrialSpec(property=prop, n=n, k=1, trials=2).validate()
+    with pytest.raises(ValueError, match=message):
+        run_trials(TrialSpec(property=prop, n=n, k=1, trials=2), workers=2)
+    assert spy_pool == []
 
 
 def test_run_trials_deterministic_across_workers():

@@ -66,6 +66,13 @@ def test_take_and_put_follow_the_tail_fill_on_lists_sharing_one_pos():
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
+def test_packed_list_shares_its_int_objects(n):
+    items, pos = packed_list(n)
+    assert (items, pos) == (list(range(1, n + 1)), [0, *range(n)])
+    assert all(pos[v] is items[v - 2] for v in range(2, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000])
 def test_fresh_buckets_equal_the_per_vertex_build(n):
     # what the per-vertex loop builds: every vertex in the degree-0 list, in id order
     lists, pos = [[]], [0] * (n + 1)

@@ -277,6 +277,12 @@ def test_emit_tables_links_lower_bounds_to_degree_targets():
         emit_tables("min_degree", range(1, 2), [0, 2])
 
 
+@pytest.mark.parametrize("prop", ["perfect_matching", "hamilton_cycle"])
+def test_matching_and_cycle_tables_reject_an_l_range(prop):
+    with pytest.raises(ValueError, match="no l range"):
+        emit_tables(prop, range(1, 3), range(1, 4))
+
+
 @pytest.mark.parametrize("l_range", [range(1, 6), [2, 5], [3, 1]], ids=str)
 def test_degree_table_reads_every_target_off_one_ladder_per_k(l_range):
     # the drift is triangular, so target l is breakpoint l - 1 of the solve
