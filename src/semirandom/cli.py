@@ -138,10 +138,15 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args, record_trajectory=False, complete=True) -> TrialSpec:
+def _target(args) -> tuple[str, int | None]:
     prop, l = parse_property(args.property)
     if prop == PROP_MIN_DEGREE and l is None:
         raise CliError("the minimum-degree property needs a target, e.g. mindeg2")
+    return prop, l
+
+
+def _spec_from_args(args, record_trajectory=False, complete=True) -> TrialSpec:
+    prop, l = _target(args)
     return TrialSpec(
         property=prop,
         n=args.n,
@@ -208,7 +213,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    prop, l = parse_property(args.property)
+    prop, l = _target(args)
     if prop == PROP_HAM:
         raise CliError("the oracle supports mindeg[L] and pm targets")
     result = exact_small_oracle(args.n, args.k, prop, l=l or 1)

@@ -15,13 +15,20 @@ class m: under ``TIE_AVOID`` exactly when c_m = 1, otherwise with
 probability 1 / c_m.  The capped degree sum rises every round, so the law
 ends by round n * l.  Bounds: n <= 40, n^k <= 100 000 (the square weights),
 C(n + l, l) <= 50 000 count states and n * l <= 400 rounds (which set the
-size of the masses).
+size of the masses: each round multiplies their common denominator).
 
 Perfect matching (n <= 8): the state is (unsaturated count, sorted
 pending-edge counts per unsaturated vertex), exchangeable under the uniform
 circle.  The chain is acyclic apart from self-loops, so the expectation is
 a back-substitution; the law's support is unbounded, so it is cut once the
 live mass falls below 1e-12.
+
+Both laws are walked forward round by round in integer masses over one
+common denominator per round: each state's transition law becomes a row of
+ints once, and a round costs integer products and adds, with one gcd per law
+entry instead of one per transition (see ``_forward_law``).  The laws,
+expectations and tails are the same ``Fraction`` values as a walk in
+``Fraction`` masses would give.
 """
 
 from __future__ import annotations
@@ -84,34 +91,66 @@ def exact_small_oracle(
 
 
 def _forward_law(start, step, absorbed, cap, tiny=0):
-    """Law of the absorption round, walked forward in exact masses.
+    """Law of the absorption round, walked forward in integer masses.
 
     Stops after ``cap`` rounds or once the live mass is below ``tiny``;
-    returns the law and the live mass left.  Every ``step`` law sums to
-    exactly 1, so the live mass is 1 minus the absorbed mass, kept exact
-    without summing the frontier.
+    returns the law and the live mass left, as ``Fraction``s.  The first time
+    a state is reached its ``step`` law becomes one integer row, kept for
+    later rounds: the lcm L of its denominators, the absorbed mass times L,
+    and each live successor's probability times L.  The masses of a round
+    are ints over one common denominator ``scale``; each round multiplies
+    ``scale`` by d, the lcm of the frontier's L, and a state's mass by d // L
+    before its row spreads it.  So a round costs integer products and adds,
+    and no gcd until the round's law entry ``Fraction(hit, scale)``, which is
+    canonical like the rest.  Every ``step`` law sums to exactly 1, so the
+    live mass is 1 less the absorbed mass: its numerator over ``scale`` is
+    kept exact without summing the frontier, and it is cut against ``tiny``
+    by cross-multiplying.
     """
-    frontier = {start: Fraction(1)}
+    rows: dict = {}
+    frontier = {start: 1}
     law: dict[int, Fraction] = {}
-    live = Fraction(1)
+    scale = live = 1
     t = 0
     while frontier and t < cap:
         t += 1
-        nxt: dict = {}
-        hit = Fraction(0)
+        work = []
         for state, mass in frontier.items():
-            for succ, p in step(state).items():
-                if absorbed(succ):
-                    hit += mass * p
-                else:
-                    nxt[succ] = nxt.get(succ, 0) + mass * p
+            row = rows.get(state)
+            if row is None:
+                row = rows[state] = _integer_row(step(state), absorbed)
+            work.append((mass, row))
+        d = math.lcm(*[row[0] for _, row in work])
+        nxt: dict = {}
+        hit = 0
+        for mass, (den, hit_num, moves) in work:
+            mass *= d // den
+            hit += mass * hit_num
+            for succ, num in moves:
+                nxt[succ] = nxt.get(succ, 0) + mass * num
+        scale *= d
+        live = live * d - hit
         if hit:
-            law[t] = hit
-            live -= hit
+            law[t] = Fraction(hit, scale)
         frontier = nxt
-        if live < tiny:
+        if live * tiny.denominator < tiny.numerator * scale:
             break
-    return law, live
+    return law, Fraction(live, scale)
+
+
+def _integer_row(law, absorbed):
+    """(L, absorbed mass * L, [(live successor, p * L)]) of one ``step`` law,
+    L the lcm of its denominators."""
+    den = math.lcm(*[p.denominator for p in law.values()])
+    hit_num = 0
+    moves = []
+    for succ, p in law.items():
+        num = p.numerator * (den // p.denominator)
+        if absorbed(succ):
+            hit_num += num
+        else:
+            moves.append((succ, num))
+    return den, hit_num, moves
 
 
 # ---------------------------------------------------------------- min degree
@@ -133,7 +172,6 @@ def _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree):
     loop_inc = 2 if loop_degree == LOOP_COUNTS_TWO else 1
     avoid = tie_break == TIE_AVOID
 
-    @functools.cache  # a state can be reached in several rounds
     def step(counts: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
         law: dict[tuple[int, ...], Fraction] = {}
 

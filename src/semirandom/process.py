@@ -52,6 +52,8 @@ class ProcessConfig:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
         if self.k < 1:
             raise ValueError(f"squares per round must be >= 1, got {self.k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.tie_break not in CIRCLE_POLICIES:
             raise ValueError(f"unknown circle tie-break {self.tie_break!r}")
         if self.square_tie_break not in SQUARE_POLICIES:

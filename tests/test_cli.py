@@ -97,6 +97,12 @@ def test_oracle_rejects_cycle_target(capsys):
     assert "oracle" in err
 
 
+def test_oracle_needs_degree_target(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--property", "mindeg", "--n", "4", "--k", "1")
+    assert (code, out) == (1, "")
+    assert "needs a target, e.g. mindeg2" in err
+
+
 def test_oracle_bounds_the_degree_target_at_n_40(capsys):
     code, _, err = run_cli(capsys, "oracle", "--property", "mindeg2", "--n", "41", "--k", "2")
     assert code == 1
@@ -167,6 +173,22 @@ def test_vertex_count_fails_before_any_pool_or_solve(capsys, monkeypatch, spy_po
     )
     assert (code, out) == (1, "")
     assert message in err
+    assert (spy_pool, solved) == ([], [])
+
+
+@pytest.mark.parametrize("command,seed", [("simulate", "-1"), ("compare", "-3")])
+def test_negative_seed_fails_before_any_pool_or_solve(capsys, monkeypatch, spy_pool,
+                                                      command, seed):
+    import semirandom.cli as cli
+
+    solved = []
+    monkeypatch.setattr(cli, "solve_min_degree", lambda *a, **kw: solved.append(a))
+    code, out, err = run_cli(
+        capsys, command, "--property", "mindeg1", "--n", "10", "--k", "1",
+        "--trials", "2", "--threads", "2", "--seed", seed,
+    )
+    assert (code, out) == (1, "")
+    assert "seed must be >= 0" in err
     assert (spy_pool, solved) == ([], [])
 
 

@@ -376,6 +376,7 @@ PINNED_HAM_TRACES = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("debug", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_seeded_traces_are_pinned(k, debug):
@@ -435,6 +436,7 @@ PINNED_HAM_STATES = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("n,k,debug,complete", list(PINNED_HAM_STATES))
 def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, complete):
     made = _recording_ham_states(monkeypatch)
@@ -450,6 +452,7 @@ def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, compl
     assert _ham_digest(*payload) == PINNED_HAM_STATES[(n, k, debug, complete)]
 
 
+@pytest.mark.pinned
 def test_consecutive_runs_on_shared_streams_are_pinned():
     # the second run starts where the first left both generators
     streams = trial_streams(2031, 5)

@@ -126,6 +126,7 @@ def test_run_trials_reports_phases_and_completion_split():
     assert 0 < summary.phase_means[0] < summary.phase_means[1]
 
 
+@pytest.mark.pinned
 def test_seeded_rounds_are_pinned():
     # (threshold_round, completion_rounds) per trial; any change to the
     # random streams or to the order in which a run consumes them shows here

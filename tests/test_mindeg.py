@@ -311,6 +311,7 @@ def _seeded_traces() -> dict:
     return got
 
 
+@pytest.mark.pinned
 def test_seeded_traces_are_pinned():
     assert _seeded_traces() == PINNED_MINDEG_TRACES
 

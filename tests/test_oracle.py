@@ -10,6 +10,7 @@ import pytest
 
 from semirandom import ProcessConfig
 from semirandom.harness import chi_square_test, exact_small_oracle
+from semirandom.harness.oracle import _forward_law
 from semirandom.process import (
     CIRCLE_POLICIES,
     LOOP_COUNTS_ONE,
@@ -105,6 +106,59 @@ def test_every_visited_law_sums_to_one(monkeypatch):
         res = exact_small_oracle(n, k, "perfect_matching")
         assert sum(res.distribution.values()) + res.tail == 1
     assert visited > 0
+
+
+def fraction_walk(start, step, absorbed, cap, tiny=0):
+    """The forward walk written plainly in Fraction masses."""
+    frontier, law, live = {start: Fraction(1)}, {}, Fraction(1)
+    for t in range(1, cap + 1):
+        if not frontier:
+            break
+        nxt, hit = {}, Fraction(0)
+        for state, mass in frontier.items():
+            for succ, p in step(state).items():
+                if absorbed(succ):
+                    hit += mass * p
+                else:
+                    nxt[succ] = nxt.get(succ, 0) + mass * p
+        if hit:
+            law[t] = hit
+            live -= hit
+        frontier = nxt
+        if live < tiny:
+            break
+    return law, live
+
+
+# rows over denominators 2, 3 and 6; "a" and "b" share the frontier from
+# round 2 on, so a round's common denominator is lcm(2, 3) = 6, not max 3
+MIXED = {
+    "a": {"a": Fraction(1, 2), "b": Fraction(1, 2)},
+    "b": {"b": Fraction(1, 3), "c": Fraction(1, 3), "X": Fraction(1, 3)},
+    "c": {"a": Fraction(1, 6), "c": Fraction(1, 2), "X": Fraction(1, 3)},
+}
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 40])
+def test_forward_law_scales_mixed_denominators_exactly(cap):
+    done = "X".__eq__
+    law, tail = _forward_law("a", MIXED.__getitem__, done, cap)
+    want_law, want_tail = fraction_walk("a", MIXED.__getitem__, done, cap)
+    assert repr((law, tail)) == repr((want_law, want_tail))
+    assert tail == 1 - sum(law.values()) > 0
+
+
+def test_forward_law_cuts_below_tiny_only():
+    halving = {0: {0: Fraction(1, 2), 1: Fraction(1, 2)}}.__getitem__
+    done = (1).__eq__
+    # the live mass is exactly 1/8 after round 3, which is not below 1/8
+    law, tail = _forward_law(0, halving, done, 100, Fraction(1, 8))
+    assert law == {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 8), 4: Fraction(1, 16)}
+    assert tail == Fraction(1, 16)
+    assert (law, tail) == fraction_walk(0, halving, done, 100, Fraction(1, 8))
+    law, tail = _forward_law(0, halving, done, 2, Fraction(1, 8))
+    assert law == {1: Fraction(1, 2), 2: Fraction(1, 4)}
+    assert tail == Fraction(1, 4)
 
 
 def test_rejects_intractable_or_unknown_targets():
@@ -284,6 +338,7 @@ LAW_PINS = {
 }
 
 
+@pytest.mark.pinned
 def test_min_degree_laws_are_pinned():
     policies = list(itertools.product(CIRCLE_POLICIES, SQUARE_POLICIES, LOOP_POLICIES))
     assert len(LAW_PINS) == 16
@@ -310,6 +365,7 @@ PM_PINS = {
 }
 
 
+@pytest.mark.pinned
 def test_matching_laws_are_pinned():
     for (n, k), pin in PM_PINS.items():
         res = exact_small_oracle(n, k, "perfect_matching")

@@ -310,6 +310,7 @@ PINNED_PM_TRACES = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("debug", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_seeded_traces_are_pinned(monkeypatch, k, debug):
@@ -376,6 +377,7 @@ PINNED_PM_STATES = {
 }
 
 
+@pytest.mark.pinned
 @pytest.mark.parametrize("n,k,debug,complete", list(PINNED_PM_STATES))
 def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, complete):
     made = _recording_pm_states(monkeypatch)
@@ -389,6 +391,7 @@ def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, compl
     assert _pm_digest(*payload) == PINNED_PM_STATES[(n, k, debug, complete)]
 
 
+@pytest.mark.pinned
 def test_consecutive_runs_on_shared_streams_are_pinned():
     # the second run starts where the first left both generators
     streams = trial_streams(2029, 5)

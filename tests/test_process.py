@@ -114,6 +114,12 @@ def test_config_rejects_unknown_policies():
         ProcessConfig(n=2, k=1, loop_degree="three").validate()
 
 
+def test_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ProcessConfig(n=2, k=1, seed=-1).validate()
+    ProcessConfig(n=2, k=1, seed=0).validate()
+
+
 def test_draw_squares_single_vertex():
     assert SquareSource(1, 3, trial_rng(0)).next_round() == [1, 1, 1]
 

@@ -353,6 +353,7 @@ OLD_CAP_PINS = [
 ]
 
 
+@pytest.mark.pinned
 def test_solves_are_bit_pinned(rhs_counts):
     # a change to the stepper's arithmetic must not move a single bit
     for (solver, args, *pins), (old_constant, old_steps, old_rhs) in zip(
