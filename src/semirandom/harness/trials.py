@@ -246,11 +246,13 @@ def dominance_experiment(spec: TrialSpec, baseline: str, workers: int = 1) -> Do
 
     Both strategies replay identical square arrivals (paired seeds and a
     separate square stream), and the p-value tests the one-sided hypothesis
-    that the baseline needs more rounds on average.  Both specs are
-    validated before the first trial runs.
+    that the baseline needs more rounds on average.  Both specs and the
+    trial count (at least two) are validated before the first trial runs.
     """
     if spec.property != PROP_MIN_DEGREE:
         raise ValueError("dominance experiments target the minimum-degree property")
+    if spec.trials < 2:
+        raise ValueError("need at least two paired differences")
     base = replace(spec.validate(), strategy=baseline).validate()
     a = run_trials(spec, workers=workers)
     b = run_trials(base, workers=workers)

@@ -20,19 +20,25 @@ callers that want a coarser bound.  The work is bounded
 by ``max_steps`` trial steps, accepted and rejected alike, so ``n_rhs``,
 which counts every drift call, is at most ``6 * max_steps + 1``.
 
-The step is unrolled: the stages are the named lists ``k1``..``k7``, the
-pair's weights are the module-level names ``C2``..``E7``, and every
-weighted stage sum is written out as ``0.0 + w1*k1 + w2*k2 + ...`` in
-stage order with the zero weights kept.  That is exactly what CPython
-3.11's float ``sum()`` over a generator computes (plain left-to-right
-addition starting from 0, which also maps a leading -0.0 to 0.0), so the
-step gives the same bits as the loop-over-``sum()`` form it replaced.  On
-CPython 3.12 and later ``sum()`` of floats is compensated, so there the
-written-out form is the stable one.
+The trial step is generated, once per dimension, as straight-line source
+(``_trial_step``): it unpacks ``y`` and every stage into per-coordinate
+locals and writes each weighted stage sum out as ``0.0 + w1*k1 + w2*k2 +
+...`` over the module-level weights ``C2``..``E7``, in stage order with the
+zero weights kept, and the scaled error as one ``err += q * q`` per
+coordinate.  These are the sums, in the same order, of the comprehension
+step before it, and a written-out left-to-right sum from 0.0 is exactly
+what CPython 3.11's float ``sum()`` computed in the loop form before that
+(it also maps a leading -0.0 to 0.0), so every constant, sample and
+counter keeps its bits.  On CPython 3.12 and later ``sum()`` of floats is
+compensated, so there the written-out form is the stable one.  The gain is
+CPython 3.11's frames: a list comprehension there is a function call (3.12
+inlines it), and the comprehension step made seven per trial step, each
+over a ``zip`` of one to five coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,8 +76,8 @@ class IntegratorConfig:
     max_steps: int = 2_000_000
 
     def validated(self) -> "IntegratorConfig":
-        if not (self.rtol > 0 and self.max_step > 0):
-            raise ValueError("tolerances and step bounds must be positive")
+        if not (0 < self.rtol < math.inf and self.max_step > 0):
+            raise ValueError("need a finite rtol > 0 and max_step > 0")
         if self.dense_step and not 0 < self.dense_step < math.inf or self.max_steps < 1:
             raise ValueError("need a finite dense_step >= 0 (0 or None: no grid), max_steps >= 1")
         return self
@@ -108,7 +114,7 @@ class IntegrationResult:
     message: str = ""
 
 
-# weights of the embedded 4/5 pair, read by the unrolled step in ``integrate``
+# weights of the embedded 4/5 pair, read by name in the generated trial steps
 C2, C3, C4, C5, C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
 A21 = 1 / 5
 A31, A32 = 3 / 40, 9 / 40
@@ -145,12 +151,7 @@ def integrate(
     if len(y) != dim:
         raise ValueError("initial state has the wrong dimension")
     s = s0
-    n_rhs = 0
-
-    def call(ss: float, yy: list[float]) -> list[float]:
-        nonlocal n_rhs
-        n_rhs += 1
-        return f(ss, yy)
+    step = _trial_step(dim)
 
     # the event value times its direction fires on a step from < 0 to >= 0;
     # without an event it is 0 and never fires
@@ -158,9 +159,10 @@ def integrate(
     sign, g_fn = (event.direction, event.fn) if event else (0, lambda _s, _y: 0.0)
 
     try:
-        k1 = call(s, y)
+        k1 = f(s, y)
     except DomainGuard as exc:
         raise OdeFailure(f"initial state outside guarded domain: {exc}") from exc
+    n_rhs = 1
     g_prev = sign * g_fn(s, y)
 
     dense_s: list[float] = []
@@ -189,39 +191,13 @@ def integrate(
                 "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
                 f"step size underflow at s={s!r}",
             )
-        # one embedded trial step; each weighted sum is 0.0 + w1*k1 + w2*k2 + ...
-        # in stage order, zero weights included (see the module docstring)
-        try:
-            k2 = call(s + C2 * h, [yi + h * (0.0 + A21 * a) for yi, a in zip(y, k1)])
-            k3 = call(s + C3 * h, [
-                yi + h * (0.0 + A31 * a + A32 * b) for yi, a, b in zip(y, k1, k2)
-            ])
-            k4 = call(s + C4 * h, [
-                yi + h * (0.0 + A41 * a + A42 * b + A43 * c)
-                for yi, a, b, c in zip(y, k1, k2, k3)
-            ])
-            k5 = call(s + C5 * h, [
-                yi + h * (0.0 + A51 * a + A52 * b + A53 * c + A54 * d)
-                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ])
-            k6 = call(s + C6 * h, [
-                yi + h * (0.0 + A61 * a + A62 * b + A63 * c + A64 * d + A65 * e)
-                for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ])
-            y_new = [
-                yi + h * (0.0 + B1 * a + B2 * b + B3 * c + B4 * d + B5 * e + B6 * g)
-                for yi, a, b, c, d, e, g in zip(y, k1, k2, k3, k4, k5, k6)
-            ]
-            k7 = call(s + h, y_new)
-        except DomainGuard:
+        calls, trial = step(f, s, h, y, k1, rtol)
+        n_rhs += calls
+        if trial is None:  # a stage left the drift's guarded domain
             n_rejected += 1
             h *= 0.5
             continue
-        err = 0.0
-        for yi, yn, a, b, c, d, e, g, z in zip(y, y_new, k1, k2, k3, k4, k5, k6, k7):
-            q = h * (0.0 + E1 * a + E2 * b + E3 * c + E4 * d + E5 * e + E6 * g + E7 * z)
-            q /= ATOL + rtol * max(abs(yi), abs(yn))
-            err += q * q
+        y_new, k3, k4, k5, k6, k7, err = trial
         err = math.sqrt(err / dim)
         if err > 1.0:
             n_rejected += 1
@@ -266,6 +242,44 @@ def integrate(
             h *= min(MAX_FACTOR, max(MIN_FACTOR, SAFETY * err ** -0.2))
 
     return IntegrationResult("budget", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected)
+
+
+@functools.cache  # built the first time a dimension is solved
+def _trial_step(dim: int) -> Callable:
+    """The straight-line trial step for ``dim`` coordinates (see the module docstring).
+
+    ``step(drift, s, h, y, k1, rtol)`` returns the drift calls it made,
+    counting one that raised ``DomainGuard``, and None after such a call,
+    else ``(y_new, k3, k4, k5, k6, k7, the sum of squared scaled errors)``.
+    """
+    # coordinate i of k1..k7 is the local a{i}..g{i}, and of y_new n{i}
+    stage, cs = "abcdefg", range(dim)
+
+    def unpack(letter: str) -> str:
+        return "[" + ", ".join(f"{letter}{i}" for i in cs) + "]"
+
+    def weighted(i: int, weights: list[str]) -> str:
+        return "(0.0" + "".join(f" + {w} * {x}{i}" for w, x in zip(weights, stage)) + ")"
+
+    def point(weights: list[str]) -> str:
+        return "[" + ", ".join(f"y{i} + h * {weighted(i, weights)}" for i in cs) + "]"
+
+    lines = ["def step(drift, s, h, y, k1, rtol):", f"    {unpack('y')} = y",
+             f"    {unpack('a')} = k1", "    try:"]
+    for j in range(2, 7):
+        lines += [f"        calls = {j - 1}",
+                  f"        k{j} = drift(s + C{j} * h, {point([f'A{j}{m}' for m in range(1, j)])})",
+                  f"        {unpack(stage[j - 1])} = k{j}"]
+    lines += [f"        {unpack('n')} = y_new = {point([f'B{m}' for m in range(1, 7)])}",
+              "        calls = 6", "        k7 = drift(s + h, y_new)", f"        {unpack('g')} = k7",
+              "    except DomainGuard:", "        return calls, None", "    err = 0.0"]
+    for i in cs:
+        lines += [f"    q = h * {weighted(i, [f'E{m}' for m in range(1, 8)])}",
+                  f"    q /= ATOL + rtol * max(abs(y{i}), abs(n{i}))", "    err += q * q"]
+    lines.append("    return 6, (y_new, k3, k4, k5, k6, k7, err)")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<dopri5 step, dim {dim}>", "exec"), globals(), namespace)
+    return namespace["step"]
 
 
 def _continuous_extension(h, y0, y1, k1, k3, k4, k5, k6, k7) -> list[tuple]:

@@ -312,6 +312,11 @@ def emit_tables(
     dense grid; sampling never changes the step sequence, so the constants
     are the ones a sampled solve gives.
     """
+    # both stop levels are checked before any solve, used by this table or not
+    if not PM_EPS_MIN <= eps < 1.0:
+        raise ValueError(f"eps must lie in [{PM_EPS_MIN}, 1), got {eps}")
+    if not 0.0 < x_stop < 1.0:
+        raise ValueError("x_stop must lie in (0, 1)")
     cfg = replace(cfg or IntegratorConfig(), dense_step=None)
     records: list[TableRecord] = []
     if l_range is not None and property_name in ("perfect_matching", "hamilton_cycle"):

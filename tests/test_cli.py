@@ -74,6 +74,16 @@ def test_ode_table_rejects_sub_resolution_eps(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    ("--property", "mindeg", "--k-range", "1..1", "--eps", "nan"),
+    ("--property", "pm", "--k-range", "1..1", "--x-stop", "2"),
+])
+def test_ode_table_checks_the_stop_level_it_does_not_use(capsys, argv):
+    code, out, err = run_cli(capsys, "ode-table", *argv)
+    assert (code, out) == (1, "")
+    assert ("eps" if "--eps" in argv else "x_stop") in err
+
+
 def test_ode_table_refuses_unfinished_path_solve(capsys, monkeypatch):
     from semirandom.ode import systems
 
@@ -273,6 +283,21 @@ def test_dominance_bad_baseline_exits_1_before_any_trial(capsys, monkeypatch):
     )
     assert (code, out) == (1, "")
     assert "unknown strategy 'nope'" in err
+
+
+def test_dominance_one_trial_exits_1_before_any_trial(capsys, monkeypatch):
+    from semirandom.harness import trials
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the trial count was validated")
+
+    monkeypatch.setattr(trials, "run_trials", no_trials)
+    code, out, err = run_cli(
+        capsys, "dominance", "--baseline", "uniform_circle", "--n", "50", "--k", "1",
+        "--trials", "1",
+    )
+    assert (code, out) == (1, "")
+    assert "need at least two paired differences" in err
 
 
 def test_help_lists_documented_flags(capsys):

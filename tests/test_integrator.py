@@ -1,5 +1,6 @@
 """Embedded-pair stepping, event localization, dense output."""
 
+import dataclasses
 import math
 
 import pytest
@@ -94,6 +95,35 @@ def test_guard_violations_shrink_steps_then_fail():
     assert res.s_end <= 0.5
 
 
+def _chain(s, y):
+    return [-y[0], y[0] - y[1], y[1] - y[2]]
+
+
+@pytest.mark.parametrize("j", range(2, 8))
+def test_a_guard_at_every_stage_is_counted(j):
+    # stage k_j of the first trial step is drift call j (call 1 is k1); the
+    # guard halves the first step, so the clean run starts from half the
+    # budget's step (h0 = budget / 100) and must then take the same steps
+    calls = 0
+
+    def drift(s, y):
+        nonlocal calls
+        calls += 1
+        if calls == j:
+            raise DomainGuard("once, at stage k%d" % j)
+        return _chain(s, y)
+
+    event = Event(lambda s, y: y[0] - 0.9, direction=-1)
+    res = integrate(OdeSystem(3, drift, event), IntegratorConfig(), [1.0, 0.0, 0.0], 1.0)
+    clean = integrate(OdeSystem(3, _chain, event), IntegratorConfig(), [1.0, 0.0, 0.0], 0.5)
+    assert res.n_rhs == calls == clean.n_rhs + j - 1
+    assert (res.n_rejected, clean.n_rejected) == (1, 0)
+    assert res.status == "event"
+    assert dataclasses.replace(res, n_rhs=0, n_rejected=0) == dataclasses.replace(
+        clean, n_rhs=0, n_rejected=0
+    )
+
+
 def test_step_limit_reported():
     # capped, five steps cannot reach s = 1 (uncapped they can)
     cfg = IntegratorConfig(max_step=1e-2, max_steps=5)
@@ -150,7 +180,7 @@ def test_rejects_bad_config_and_dimension():
 
 @pytest.mark.parametrize(
     "bad", [{"dense_step": -1e-3}, {"dense_step": math.inf}, {"dense_step": math.nan},
-            {"max_steps": 0}, {"rtol": math.nan}],
+            {"max_steps": 0}, {"rtol": math.nan}, {"rtol": math.inf}],
 )
 def test_bad_config_fails_fast(bad):
     # a negative grid step used to send the dense-output loop backwards forever

@@ -342,6 +342,8 @@ SOLVE_PINS = [
     (solve_pm, (1,), "1.276943814211652", 543, 3421, "da0bf6b54305276f"),
     (solve_pm, (2, 1e-3), "0.9066317099384734", 218, 1339, "7a69bb8aba46667f"),
     (solve_ham, (2,), "1.396151569594456", 463, 2791, "7dc294e6c1351906"),
+    # the degree ladder to l = 5 runs its 4- and 5-coordinate phases
+    (solve_min_degree, (2, 5), "2.6250831569089286", 191, 1643, "f30735eb46856fe7"),
 ]
 # the same solves under the old step cap of 1e-3: constant repr, accepted
 # steps, RHS evaluations
@@ -350,6 +352,7 @@ OLD_CAP_PINS = [
     ("1.2769438135038105", 1556, 9475),
     ("0.9066317099394485", 920, 5521),
     ("1.39615156959592", 1595, 9571),
+    ("2.625083156846336", 2637, 16067),
 ]
 
 
