@@ -12,11 +12,17 @@ edges are added only by the degree target's round kernel
 It is also the one home of the packed-list rule behind every target's
 uniform draws (``packed_list``, ``take``, ``put``, ``check_packed``): a
 leaving vertex's slot takes the list's tail, which fixes every later draw.
+And it owns their storage: packed lists, and the per-vertex fields of the
+builders, are 4-byte ``array('i')``s of vertex ids (``packed_list``,
+``vertex_array``), so n is at most 2**31 - 1.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+MAX_N = 2**31 - 1  # the largest vertex id a 4-byte array holds
 
 TIE_LOWEST = "lowest_index"
 TIE_AVOID = "avoid_square_then_lowest"
@@ -50,6 +56,8 @@ class ProcessConfig:
     def validate(self) -> "ProcessConfig":
         if self.n < 1:
             raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        if self.n > MAX_N:
+            raise ValueError(f"vertex count must be <= {MAX_N} (4-byte vertex ids), got {self.n}")
         if self.k < 1:
             raise ValueError(f"squares per round must be >= 1, got {self.k}")
         if self.seed < 0:
@@ -63,13 +71,21 @@ class ProcessConfig:
         return self
 
 
-def packed_list(n: int) -> tuple[list[int], list[int]]:
-    """(items, pos) of the packed list of 1..n (n >= 1) in id order; ``pos`` reuses ``items``' ints."""
-    items = list(range(1, n + 1))
-    return items, [0, 0, *items[:-1]]
+def vertex_array(size: int) -> array:
+    """A zero-filled array of ``size`` 4-byte vertex ids: ``size`` n + 1 gives a
+    per-vertex field, 0 an empty packed list."""
+    return array("i", [0]) * size
 
 
-def take(items: list[int], pos: list[int], w: int) -> None:
+def packed_list(n: int) -> tuple[array, array]:
+    """(items, pos) of the packed list of 1..n in id order, built from ``range``:
+    ``pos[v] = v - 1`` and ``pos[0] = 0``."""
+    pos = array("i", range(-1, n))
+    pos[0] = 0
+    return array("i", range(1, n + 1)), pos
+
+
+def take(items: array, pos: array, w: int) -> None:
     """Take w out of ``items``: the list's tail fills w's slot.  ``pos[w]`` goes stale."""
     last = items.pop()
     if last != w:
@@ -78,13 +94,13 @@ def take(items: list[int], pos: list[int], w: int) -> None:
         pos[last] = p
 
 
-def put(items: list[int], pos: list[int], w: int) -> None:
+def put(items: array, pos: array, w: int) -> None:
     """Append w to ``items``."""
     pos[w] = len(items)
     items.append(w)
 
 
-def check_packed(items: list[int], pos: list[int], label: list[int], want: int) -> None:
+def check_packed(items: array, pos: array, label: bytearray | list[int], want: int) -> None:
     """Assert that slot i of a packed list holds a vertex w with ``pos[w] == i``
     and ``label[w] == want``, so no vertex is listed twice."""
     for i, w in enumerate(items):
@@ -114,8 +130,8 @@ class DegreeBuckets:
         self.n = n
         self.degree = degree  # shared with the owning GraphState
         top = max(degree[1:]) if n else 0
-        self._lists: list[list[int]] | None = None
-        self.pos: list[int] | None = None
+        self._lists: list[array] | None = None
+        self.pos: array | None = None
         if top == 0:  # a fresh state: what the loops below build, in one step
             self.cnt = [n]
             if packed:
@@ -126,8 +142,8 @@ class DegreeBuckets:
             for d in degree[1:]:
                 self.cnt[d] += 1
             if packed:
-                self._lists = [[] for _ in range(top + 1)]
-                self.pos = [0] * (n + 1)
+                self._lists = [vertex_array(0) for _ in range(top + 1)]
+                self.pos = vertex_array(n + 1)
                 for v in range(1, n + 1):
                     put(self._lists[degree[v]], self.pos, v)
         self.min_nonempty = 0

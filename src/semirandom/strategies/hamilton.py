@@ -12,13 +12,15 @@ matched, green, permissible, (useless/red = pass).
 
 Each class lives in the label array; the classes that are sampled or
 popped from also sit in packed lists on one position array, and the sizes
-the drift system reads are counters.  Every round, ``ham_step``'s included,
-is played by one kernel, ``_play_block``, straight off a ``SquareSource``
-block with the labels, links and packed lists in locals.  It runs until
-the path reaches the stop length, the block ends or the caller's round
-budget (the next sample or check) runs out; ``play_blocks`` refills a
-used-up block only when a round is about to be played, where
-``next_round`` would.  Cases b, c and d end in one call of ``_settle``,
+the drift system reads are counters.  Labels take one byte a vertex (a
+``bytearray``), and links, mates, pending edges, slots and packed lists
+four (``process.vertex_array``, ``packed_list``): about 26 bytes a vertex.
+Every round, ``ham_step``'s included, is played by one kernel,
+``_play_block``, straight off a ``SquareSource`` block with the labels,
+links and packed lists in locals.  It runs until the path reaches the
+stop length, the block ends or the caller's round budget (the next sample
+or check) runs out; ``play_blocks`` refills a used-up block only when a
+round is about to be played, where ``next_round`` would.  Cases b, c and d end in one call of ``_settle``,
 which files the absorbed vertices (if any), uncolours the reds whose
 pending edge pointed at one of them, and refiles the vertices within path
 distance 2 of a change.  Every list operation (``process.take`` fills a
@@ -34,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..process import ProcessConfig, check_packed, packed_list, put, take
+from ..process import ProcessConfig, check_packed, packed_list, put, take, vertex_array
 from ..rng import SquareSource
 from .common import StepOutcome, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
@@ -95,18 +97,18 @@ class HamState:
         if n < 1:
             raise ValueError("vertex count must be >= 1")
         self.n = n
-        self.label = [OFF_UNSAT] * (n + 1)
-        self.nxt = [0] * (n + 1)
-        self.prv = [0] * (n + 1)
+        self.label = bytearray(n + 1)  # all OFF_UNSAT
+        self.nxt = vertex_array(n + 1)
+        self.prv = vertex_array(n + 1)
         self.head = 0
         self.tail = 0
-        self.mate = [0] * (n + 1)
-        self.red_target = [0] * (n + 1)
+        self.mate = vertex_array(n + 1)
+        self.red_target = vertex_array(n + 1)
         self.red_at: dict[int, list[int]] = {}
         self.unsat, self.pos = packed_list(n)
-        self.matched: list[int] = []
-        self.permissible: list[int] = []
-        self.padding: list[int] = []
+        self.matched = vertex_array(0)
+        self.permissible = vertex_array(0)
+        self.padding = vertex_array(0)
         self.X = 0
         self.R = 0
         self.green_count = 0

@@ -7,15 +7,18 @@ edge.  Squares are consumed greedily in the priority order: unsaturated,
 red, uncoloured, green (pass).
 
 The unsaturated vertices sit in a packed list, ``pos[v]`` giving v's slot,
-and partners are drawn by index into it.  Every round, ``pm_step``'s
-included, is played by one kernel, ``_play_block``, straight off a
-``SquareSource`` block with the labels, mates, pending edges and the packed
-list in locals.  It runs until the stop count, the end of the block or the
-caller's round budget (the next sample or check); ``play_blocks`` refills a
-used-up block only when a round is about to be played, where ``next_round``
-would.  A leaving vertex's slot takes the list's tail, and the draws (the
-pass case's unused circle draw included) are fixed, so the packed order,
-and with it every later sample, is the one round-by-round play leaves.
+and partners are drawn by index into it.  Labels take one byte a vertex
+(a ``bytearray``), and mates, pending edges, slots and the packed list four
+(``process.vertex_array``, ``packed_list``): about 18 bytes a vertex.
+Every round, ``pm_step``'s included, is played by one kernel,
+``_play_block``, straight off a ``SquareSource`` block with the labels,
+mates, pending edges and the packed list in locals.  It runs until the
+stop count, the end of the block or the caller's round budget (the next
+sample or check); ``play_blocks`` refills a used-up block only when a round
+is about to be played, where ``next_round`` would.  A leaving vertex's slot
+takes the list's tail, and the draws (the pass case's unused circle draw
+included) are fixed, so the packed order, and with it every later sample,
+is the one round-by-round play leaves.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
-from ..process import ProcessConfig, check_packed, packed_list, take
+from ..process import ProcessConfig, check_packed, packed_list, take, vertex_array
 from ..rng import SquareSource
 from .common import StepOutcome, classify, play_blocks, trial_source
 # the benchmark's tracer rebinds ``add_edge`` in this module; nothing here calls it
@@ -59,9 +62,9 @@ class PMState:
         if n < 1:
             raise ValueError("vertex count must be >= 1")
         self.n = n
-        self.label = [UNSAT] * (n + 1)
-        self.mate = [0] * (n + 1)
-        self.green_partner = [0] * (n + 1)
+        self.label = bytearray(n + 1)  # all UNSAT
+        self.mate = vertex_array(n + 1)
+        self.green_partner = vertex_array(n + 1)
         self.green_at: dict[int, list[int]] = {}
         self.unsat, self.pos = packed_list(n)
         self.R = 0

@@ -35,6 +35,7 @@ from ..process import (
     put,
     state_from_degrees,
     take,
+    vertex_array,
 )
 from ..rng import SquareSource, trial_streams
 from .common import StepOutcome, play_blocks, trial_source
@@ -124,7 +125,7 @@ def _play_block(state: GraphState, buf: list[int], i: int, end: int, k: int, rng
                 while len(cnt) <= new:
                     cnt.append(0)
                     if lists is not None:
-                        lists.append([])
+                        lists.append(vertex_array(0))
             cnt[new] += 1
             if lists is not None:
                 take(lists[d], pos, x)

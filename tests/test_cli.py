@@ -300,6 +300,20 @@ def test_dominance_one_trial_exits_1_before_any_trial(capsys, monkeypatch):
     assert "need at least two paired differences" in err
 
 
+def test_vertex_count_past_4_byte_ids_exits_1_before_any_trial(capsys, monkeypatch):
+    import semirandom.cli as cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the vertex count was validated")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    code, out, err = run_cli(
+        capsys, "simulate", "--property", "pm", "--n", "2147483648", "--k", "1",
+    )
+    assert (code, out) == (1, "")
+    assert "4-byte vertex ids" in err
+
+
 def test_help_lists_documented_flags(capsys):
     with pytest.raises(SystemExit):
         main(["ode-table", "--help"])

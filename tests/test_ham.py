@@ -445,7 +445,8 @@ def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, compl
     (h,) = made
     payload = (
         tr.threshold_round, tr.completion_rounds, tr.samples, tr.cycle,
-        h.label, h.nxt, h.prv, h.head, h.tail, h.mate, h.red_target, h.red_at,
+        list(h.label), list(h.nxt), list(h.prv), h.head, h.tail, list(h.mate),
+        list(h.red_target), h.red_at,
         list(h.unsat), list(h.matched), list(h.permissible), list(h.padding),
         h.X, h.R, h.green_count, h.useless_count,
     )

@@ -431,7 +431,7 @@ def test_round_kernel_matches_reference_model(data):
     assert state.degree == model.degree
     assert b.cnt == [len(lst) for lst in model.lists]
     if cfg.tie_break == TIE_UNIFORM:  # the only rule that draws from the packed lists
-        assert (b._lists, b.pos) == (model.lists, model.pos)
+        assert (list(map(list, b._lists)), list(b.pos)) == (model.lists, model.pos)
     else:
         assert b._lists is b.pos is None
     assert (b._lo, b.min_nonempty, b.max_nonempty) == (model.lo, model.min, model.max)

@@ -386,8 +386,8 @@ def test_seeded_runs_and_final_states_are_pinned(monkeypatch, n, k, debug, compl
     tr = pm_run(cfg, eps_stop, trial_index=k, sample_stride=7, complete=complete,
                 validate_every=211)
     (pm,) = made
-    payload = (tr.threshold_round, tr.completion_rounds, tr.samples, pm.label, pm.mate,
-               pm.green_partner, pm.green_at, list(pm.unsat), pm.R)
+    payload = (tr.threshold_round, tr.completion_rounds, tr.samples, list(pm.label),
+               list(pm.mate), list(pm.green_partner), pm.green_at, list(pm.unsat), pm.R)
     assert _pm_digest(*payload) == PINNED_PM_STATES[(n, k, debug, complete)]
 
 
@@ -486,7 +486,8 @@ def test_round_kernel_matches_reference_model(n, k, seed, budget):
         model.round(model_src.next_round(), model_ch)
         rounds += 1
     assert t == rounds
-    assert (pm.label, pm.mate, pm.green_partner, pm.green_at, list(pm.unsat), pm.R) == (
+    assert (list(pm.label), list(pm.mate), list(pm.green_partner), pm.green_at,
+            list(pm.unsat), pm.R) == (
         model.label, model.mate, model.partner, model.green_at, model.unsat, model.R)
     assert pm.played == model.played
     assert rng_ch.bit_generator.state == model_ch.bit_generator.state

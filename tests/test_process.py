@@ -1,4 +1,6 @@
-"""Degree state, buckets, and square draws."""
+"""Degree state, buckets, packed-list storage, and square draws."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +18,16 @@ from semirandom.process import (
     CIRCLE_POLICIES,
     LOOP_COUNTS_ONE,
     LOOP_POLICIES,
+    MAX_N,
     TIE_UNIFORM,
     check_packed,
     packed_list,
     put,
     state_from_degrees,
     take,
+    vertex_array,
 )
+from semirandom.strategies import HamState, PMState
 
 
 def test_init_state_empty_graph():
@@ -44,7 +49,7 @@ def test_take_and_put_follow_the_tail_fill_on_lists_sharing_one_pos():
     n = 40
     rng = np.random.default_rng(23)
     items, pos = packed_list(n)
-    lists, ref = [items, [], []], [list(items), [], []]
+    lists, ref = [items, vertex_array(0), vertex_array(0)], [list(items), [], []]
     label = [0] * (n + 1)  # the list a vertex is in, or -1 for none
     for _ in range(2000):
         w = int(rng.integers(1, n + 1))
@@ -60,16 +65,34 @@ def test_take_and_put_follow_the_tail_fill_on_lists_sharing_one_pos():
             put(lists[new], pos, w)
             ref[new].append(w)
         label[w] = new
-        assert lists == ref
+        assert list(map(list, lists)) == ref
         for L, lst in enumerate(lists):
             check_packed(lst, pos, label, L)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
-def test_packed_list_shares_its_int_objects(n):
+def test_packed_list_and_vertex_arrays_hold_4_byte_ids(n):
     items, pos = packed_list(n)
-    assert (items, pos) == (list(range(1, n + 1)), [0, *range(n)])
-    assert all(pos[v] is items[v - 2] for v in range(2, n + 1))
+    zeros = vertex_array(n + 1)
+    assert (list(items), list(pos), list(zeros)) == (
+        list(range(1, n + 1)), [0, *range(n)], [0] * (n + 1))
+    for a in (items, pos, zeros, vertex_array(0)):
+        assert (a.typecode, a.itemsize) == ("i", 4)
+
+
+@pytest.mark.parametrize("state", [PMState, HamState])
+def test_builder_state_costs_at_most_32_bytes_per_vertex(state):
+    # one byte of label plus 4-byte fields and packed lists; Python lists of
+    # ints cost 80 (matching) and 96 (path) traced bytes a vertex here
+    n = 50_000
+    tracemalloc.start()
+    try:
+        built = state(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.n == n
+    assert peak / n <= 32
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 1000])
@@ -83,7 +106,7 @@ def test_fresh_buckets_equal_the_per_vertex_build(n):
         b = init_state(ProcessConfig(n=n, k=1, tie_break=tie_break)).buckets
         assert (b.cnt, b.min_nonempty, b.max_nonempty, b._lo) == ([len(lists[0])], 0, 0, 1)
         if tie_break == TIE_UNIFORM:  # the only rule that draws from the lists
-            assert (b._lists, b.pos) == (lists, pos)
+            assert (list(map(list, b._lists)), list(b.pos)) == (lists, pos)
         b.validate()
 
 
@@ -99,10 +122,18 @@ def test_packed_lists_only_under_the_uniform_circle_rule(tie_break):
         state.validate()
 
 
-@pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (0, 0), (-3, 2)])
+@pytest.mark.parametrize("n,k", [(0, 1), (1, 0), (0, 0), (-3, 2), (2**31, 1)])
 def test_init_state_rejects_degenerate_sizes(n, k):
+    cfg = ProcessConfig(n=n, k=k)
     with pytest.raises(ValueError):
-        init_state(ProcessConfig(n=n, k=k))
+        cfg.validate()  # allocates nothing; init_state calls it before allocating
+    if n <= MAX_N:
+        with pytest.raises(ValueError):
+            init_state(cfg)
+
+
+def test_config_takes_the_largest_4_byte_vertex_id():
+    ProcessConfig(n=2**31 - 1, k=1).validate()  # allocates nothing
 
 
 def test_config_rejects_unknown_policies():
@@ -254,7 +285,7 @@ def test_buckets_match_reference_model(degrees, fresh, loop_degree, tie_break, e
             members = [w for w in range(1, n + 1) if state.degree[w] == d]
             assert b.count(d) == len(members) == len(ref.get(d, []))
             if tie_break == TIE_UNIFORM:
-                assert b._lists[d] == ref[d] if d in ref else not members
+                assert list(b._lists[d]) == ref[d] if d in ref else not members
         assert b.cnt == [len(ref.get(d, [])) for d in range(max(state.degree) + 1)]
         b.validate()  # includes the cursor invariant
 
