@@ -163,8 +163,7 @@ def _spec_from_args(args, record_trajectory=False, complete=True) -> TrialSpec:
 
 def _cmd_ode_table(args) -> int:
     prop, _ = parse_property(args.property)
-    l_range = args.l_range or (range(1, 6) if prop == PROP_MIN_DEGREE else None)
-    records = emit_tables(prop, args.k_range, l_range, eps=args.eps, x_stop=args.x_stop)
+    records = emit_tables(prop, args.k_range, args.l_range, eps=args.eps, x_stop=args.x_stop)
     content = tables_to_csv(records) if args.format == "csv" else tables_to_json(records)
     if args.out:
         write_text(args.out, content)
@@ -193,10 +192,8 @@ def _cmd_compare(args) -> int:
     stop = spec.effective_threshold()
     if spec.property == PROP_MIN_DEGREE:
         solution = solve_min_degree(spec.k, spec.l)
-    elif spec.property == PROP_PM:
-        solution = solve_pm(spec.k, eps=stop)
     else:
-        solution = solve_ham(spec.k, x_stop=stop)
+        solution = (solve_pm if spec.property == PROP_PM else solve_ham)(spec.k, stop)
     summary = run_trials(spec, workers=args.threads)
     report = trajectory_check(summary, solution)
     payload = {

@@ -140,24 +140,9 @@ def _run_one(spec: TrialSpec, index: int) -> TrialResult:
         return TrialResult(
             index, trace.rounds, 0, trace.rounds, trace.phase_ends, trace.samples
         )
-    if spec.property == PROP_PM:
-        trace = pm_run(
-            cfg,
-            eps_stop=spec.effective_threshold(),
-            trial_index=index,
-            sample_stride=stride,
-            complete=spec.complete,
-            validate_every=validate_every,
-        )
-    else:
-        trace = ham_run(
-            cfg,
-            x_stop=spec.effective_threshold(),
-            trial_index=index,
-            sample_stride=stride,
-            complete=spec.complete,
-            validate_every=validate_every,
-        )
+    # both take (config, stop, trial_index, sample_stride, complete, validate_every)
+    run = pm_run if spec.property == PROP_PM else ham_run
+    trace = run(cfg, spec.effective_threshold(), index, stride, spec.complete, validate_every)
     hitting = trace.total_rounds if spec.complete else None
     return TrialResult(
         index, trace.threshold_round, trace.completion_rounds, hitting, [], trace.samples

@@ -2,11 +2,9 @@
 
 from .integrator import (
     DomainGuard,
-    Event,
     IntegrationResult,
     IntegratorConfig,
     OdeFailure,
-    OdeSystem,
     integrate,
 )
 from .systems import (
@@ -28,11 +26,9 @@ from .systems import (
 
 __all__ = [
     "DomainGuard",
-    "Event",
     "IntegrationResult",
     "IntegratorConfig",
     "OdeFailure",
-    "OdeSystem",
     "integrate",
     "HAM_S_BUDGET",
     "HAM_X_STOP_DEFAULT",

@@ -1,11 +1,13 @@
 """Adaptive explicit Runge-Kutta integration with terminal-event location.
 
 The stepper is the classic embedded 4/5 pair of Dormand and Prince (six
-active stages, first same as last).  A system has at most one terminal
-event, a scalar function checked at accepted steps; its crossing is
-localized by bisection on the pair's own continuous extension.  All state
-is plain Python floats: the systems here have at most five coordinates,
-where array round-trips would dominate the cost.
+active stages, first same as last).  A solve has at most one terminal
+event: a scalar stop function ``stop(s, y)``, checked at accepted steps,
+that fires on its upward crossing, from < 0 to >= 0 (a downward crossing
+of g is written as the stop function -g).  The crossing is localized by
+bisection on the pair's own continuous extension.  All state is plain
+Python floats: the systems here have at most five coordinates, where array
+round-trips would dominate the cost.
 
 The step size follows the standard error-per-step control of the pair
 (Hairer, Norsett & Wanner, *Solving ODEs I*, section II.4), so ``rtol``
@@ -25,15 +27,14 @@ The trial step is generated, once per dimension, as straight-line source
 locals and writes each weighted stage sum out as ``0.0 + w1*k1 + w2*k2 +
 ...`` over the module-level weights ``C2``..``E7``, in stage order with the
 zero weights kept, and the scaled error as one ``err += q * q`` per
-coordinate.  These are the sums, in the same order, of the comprehension
-step before it, and a written-out left-to-right sum from 0.0 is exactly
-what CPython 3.11's float ``sum()`` computed in the loop form before that
-(it also maps a leading -0.0 to 0.0), so every constant, sample and
-counter keeps its bits.  On CPython 3.12 and later ``sum()`` of floats is
-compensated, so there the written-out form is the stable one.  The gain is
-CPython 3.11's frames: a list comprehension there is a function call (3.12
-inlines it), and the comprehension step made seven per trial step, each
-over a ``zip`` of one to five coordinates.
+coordinate.  The pinned constants, samples and counters depend on this
+fixed left-to-right order: it is what CPython 3.11's float ``sum()`` gives
+from 0.0 (a leading -0.0 maps to 0.0), while on CPython 3.12 and later
+``sum()`` of floats is compensated, so the written-out form is the stable
+one.  Straight-line code also avoids CPython 3.11's frames: a list
+comprehension there is a function call (3.12 inlines it), and a step built
+from comprehensions would make seven per trial step, each over a ``zip`` of
+one to five coordinates.
 """
 
 from __future__ import annotations
@@ -83,24 +84,6 @@ class IntegratorConfig:
         return self
 
 
-@dataclass(frozen=True)
-class Event:
-    """Terminal event g(s, y); fires on a sign crossing in ``direction``.
-
-    direction -1: from positive to <= 0; +1: from negative to >= 0.
-    """
-
-    fn: Callable[[float, Sequence[float]], float]
-    direction: int
-
-
-@dataclass
-class OdeSystem:
-    dim: int
-    drift: Callable[[float, Sequence[float]], list[float]]
-    event: Event | None = None
-
-
 @dataclass
 class IntegrationResult:
     status: str  # "event" | "budget" | "failed"
@@ -132,38 +115,35 @@ D5, D6, D7 = 701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29
 
 
 def integrate(
-    system: OdeSystem,
+    drift: Callable[[float, list[float]], list[float]],
     cfg: IntegratorConfig,
     initial: Sequence[float],
     s_budget: float,
     s0: float = 0.0,
+    stop: Callable[[float, list[float]], float] | None = None,
 ) -> IntegrationResult:
-    """Advance the system until its event fires or the budget is exhausted.
+    """Advance ``y' = drift(s, y)`` from ``initial`` until ``stop`` fires or the budget ends.
 
-    Dense samples are collected on the uniform grid ``cfg.dense_step`` (when
-    set) from each step's continuous extension.  Deterministic for fixed
-    inputs.
+    ``stop(s, y)`` fires on the first accepted step over which it goes from
+    < 0 to >= 0; the status is then "event", at the localized crossing.
+    Without ``stop`` the run ends at ``s_budget``.  Dense samples are
+    collected on the uniform grid ``cfg.dense_step`` (when set) from each
+    step's continuous extension.  Deterministic for fixed inputs.
     """
     cfg.validated()
-    f = system.drift
-    dim = system.dim
     y = [float(v) for v in initial]
-    if len(y) != dim:
-        raise ValueError("initial state has the wrong dimension")
+    dim = len(y)
     s = s0
     step = _trial_step(dim)
-
-    # the event value times its direction fires on a step from < 0 to >= 0;
-    # without an event it is 0 and never fires
-    event = system.event
-    sign, g_fn = (event.direction, event.fn) if event else (0, lambda _s, _y: 0.0)
+    # without a stop function the value is 0 and never fires
+    g_fn = stop or (lambda _s, _y: 0.0)
 
     try:
-        k1 = f(s, y)
+        k1 = drift(s, y)
     except DomainGuard as exc:
         raise OdeFailure(f"initial state outside guarded domain: {exc}") from exc
     n_rhs = 1
-    g_prev = sign * g_fn(s, y)
+    g_prev = g_fn(s, y)
 
     dense_s: list[float] = []
     dense_y: list[list[float]] = []
@@ -191,7 +171,7 @@ def integrate(
                 "failed", s, y, dense_s, dense_y, n_steps, n_rhs, n_rejected,
                 f"step size underflow at s={s!r}",
             )
-        calls, trial = step(f, s, h, y, k1, rtol)
+        calls, trial = step(drift, s, h, y, k1, rtol)
         n_rhs += calls
         if trial is None:  # a stage left the drift's guarded domain
             n_rejected += 1
@@ -208,7 +188,7 @@ def integrate(
         s_new = s + h
 
         # the terminal event, localized by bisection on the step's interpolant
-        g_new = sign * g_fn(s_new, y_new)
+        g_new = g_fn(s_new, y_new)
         fired = g_prev < 0.0 <= g_new
         hi, y_hi = s_new, y_new
         if fired or (grid and next_grid <= s_new + 1e-15):
@@ -218,7 +198,7 @@ def integrate(
             while hi - lo > EVENT_TOL:
                 mid = 0.5 * (lo + hi)
                 y_mid = _dense(cont, (mid - s) / h)
-                if g_prev < 0.0 <= sign * g_fn(mid, y_mid):
+                if g_prev < 0.0 <= g_fn(mid, y_mid):
                     hi, y_hi = mid, y_mid
                 else:
                     lo = mid

@@ -13,14 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .integrator import (
-    DomainGuard,
-    Event,
-    IntegratorConfig,
-    OdeFailure,
-    OdeSystem,
-    integrate,
-)
+from .integrator import DomainGuard, IntegratorConfig, OdeFailure, integrate
 
 PM_EPS_DEFAULT = 1e-14
 PM_EPS_MIN = 1e-15  # smaller eps is below the double resolution of 1 - x
@@ -156,12 +149,9 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
     total_rhs = 0
     total_rejected = 0
     for q in range(l):
-        system = OdeSystem(
-            dim=l - q,
-            drift=rhs_min_degree(q, k, l),
-            event=Event(lambda _s, yy: yy[0], direction=-1),
+        res = integrate(
+            rhs_min_degree(q, k, l), cfg, y, s_budget=s + 5.0, s0=s, stop=lambda _s, yy: -yy[0]
         )
-        res = integrate(system, cfg, y, s_budget=s + 5.0, s0=s)
         total_steps += res.n_steps
         total_rhs += res.n_rhs
         total_rejected += res.n_rejected
@@ -204,17 +194,16 @@ def solve_min_degree(k: int, l: int, cfg: IntegratorConfig | None = None) -> Pha
 
 
 def _solve_stop(
-    property_name: str, k: int, drift, event: Event, labels: tuple[str, ...],
+    property_name: str, k: int, drift, stop, labels: tuple[str, ...],
     s_budget: float, bound: float, cfg: IntegratorConfig | None,
 ) -> PhaseSolution:
-    """Scaled rounds from the origin until ``event`` fires.
+    """Scaled rounds from the origin until ``stop(s, y)`` crosses upward to >= 0.
 
-    Raises ``OdeFailure`` when the event does not fire by ``s_budget`` or
-    the constant lies below the trivial lower ``bound``.
+    Raises ``OdeFailure`` when it does not cross by ``s_budget`` or the
+    constant lies below the trivial lower ``bound``.
     """
     dim = len(labels)
-    system = OdeSystem(dim=dim, drift=drift, event=event)
-    res = integrate(system, cfg or IntegratorConfig(), [0.0] * dim, s_budget=s_budget)
+    res = integrate(drift, cfg or IntegratorConfig(), [0.0] * dim, s_budget=s_budget, stop=stop)
     if res.status != "event":
         raise OdeFailure(
             f"{property_name} system (k={k}) did not reach its threshold by s={s_budget}: "
@@ -255,7 +244,7 @@ def solve_pm(
         raise ValueError(f"eps must lie in [{PM_EPS_MIN}, 1), got {eps}")
     return _solve_stop(
         "perfect_matching", k, rhs_pm(k, guard_eps=eps / 2),
-        Event(lambda _s, y: (1.0 - y[0]) - eps, direction=-1),
+        lambda _s, y: -((1.0 - y[0]) - eps),
         ("x", "r"), PM_S_BUDGET, (1.0 - eps) / 2, cfg,
     )
 
@@ -274,7 +263,7 @@ def solve_ham(
         raise ValueError("x_stop must lie in (0, 1)")
     return _solve_stop(
         "hamilton_cycle", k, rhs_ham(k, guard_eps=(1.0 - x_stop) / 2),
-        Event(lambda _s, y: y[0] - x_stop, direction=1),
+        lambda _s, y: y[0] - x_stop,
         ("x", "y", "r"), HAM_S_BUDGET, x_stop, cfg,
     )
 
@@ -319,32 +308,28 @@ def emit_tables(
         raise ValueError("x_stop must lie in (0, 1)")
     cfg = replace(cfg or IntegratorConfig(), dense_step=None)
     records: list[TableRecord] = []
-    if l_range is not None and property_name in ("perfect_matching", "hamilton_cycle"):
-        raise ValueError("the matching and cycle tables take no l range")
     if property_name == "min_degree":
-        ls = list(l_range or range(1, 6))
+        ls = list(range(1, 6) if l_range is None else l_range)
+        if not ls:
+            raise ValueError("the l range is empty")
         if min(ls) < 1:
             raise ValueError("k and l must be >= 1")
         ladders = {k: solve_min_degree(k, max(ls), cfg).breakpoints for k in k_range}
         for l in ls:
             for k in k_range:
                 records.append(TableRecord("min_degree", k, l, ladders[k][l - 1], "tau"))
-    elif property_name == "perfect_matching":
+    elif property_name in ("perfect_matching", "hamilton_cycle"):
+        if l_range is not None:
+            raise ValueError("the matching and cycle tables take no l range")
+        pm = property_name == "perfect_matching"
         for k in k_range:
-            lower = solve_min_degree(k, 1, cfg)
-            upper = solve_pm(k, eps, cfg)
-            records.append(TableRecord("perfect_matching", k, None, lower.constant, "lower"))
-            records.append(
-                TableRecord(
-                    "perfect_matching", k, None, upper.constant + PM_UPPER_MARGIN, "upper"
-                )
-            )
-    elif property_name == "hamilton_cycle":
-        for k in k_range:
-            lower = solve_min_degree(k, 2, cfg)
-            upper = solve_ham(k, x_stop, cfg)
-            records.append(TableRecord("hamilton_cycle", k, None, lower.constant, "lower"))
-            records.append(TableRecord("hamilton_cycle", k, None, upper.constant, "upper"))
+            lower = solve_min_degree(k, 1 if pm else 2, cfg).constant
+            if pm:
+                upper = solve_pm(k, eps, cfg).constant + PM_UPPER_MARGIN
+            else:
+                upper = solve_ham(k, x_stop, cfg).constant
+            records.append(TableRecord(property_name, k, None, lower, "lower"))
+            records.append(TableRecord(property_name, k, None, upper, "upper"))
     else:
         raise ValueError(f"unknown property {property_name!r}")
     return records

@@ -5,50 +5,42 @@ import math
 
 import pytest
 
-from semirandom.ode import (
-    DomainGuard,
-    Event,
-    IntegratorConfig,
-    OdeSystem,
-    integrate,
-    solve_min_degree,
-)
+from semirandom.ode import DomainGuard, IntegratorConfig, integrate, solve_min_degree
+
+
+def _decay(s, y):
+    return [-y[0]]
+
+
+def _below_half(s, y):
+    # y falls through 1/2: the negated crossing is an upward one
+    return 0.5 - y[0]
 
 
 def test_exponential_decay_event_at_half():
-    system = OdeSystem(
-        dim=1,
-        drift=lambda s, y: [-y[0]],
-        event=Event(lambda s, y: y[0] - 0.5, direction=-1),
-    )
-    res = integrate(system, IntegratorConfig(), [1.0], s_budget=2.0)
+    res = integrate(_decay, IntegratorConfig(), [1.0], s_budget=2.0, stop=_below_half)
     assert res.status == "event"
     assert abs(res.s_end - math.log(2.0)) < 1e-10
     assert abs(res.y_end[0] - 0.5) < 1e-10
 
 
 def test_linear_growth_event_at_two():
-    system = OdeSystem(
-        dim=1,
-        drift=lambda s, y: [1.0],
-        event=Event(lambda s, y: y[0] - 2.0, direction=1),
+    res = integrate(
+        lambda s, y: [1.0], IntegratorConfig(), [0.0], s_budget=5.0, stop=lambda s, y: y[0] - 2.0
     )
-    res = integrate(system, IntegratorConfig(), [0.0], s_budget=5.0)
     assert res.status == "event"
     assert abs(res.s_end - 2.0) < 1e-11
 
 
 def test_budget_exhaustion_reports_final_state():
-    system = OdeSystem(dim=1, drift=lambda s, y: [-y[0]])
-    res = integrate(system, IntegratorConfig(), [1.0], s_budget=1.0)
+    res = integrate(_decay, IntegratorConfig(), [1.0], s_budget=1.0)
     assert res.status == "budget"
     assert abs(res.s_end - 1.0) < 1e-12
     assert abs(res.y_end[0] - math.exp(-1.0)) < 1e-9
 
 
 def test_dense_grid_matches_closed_form():
-    system = OdeSystem(dim=1, drift=lambda s, y: [-y[0]])
-    res = integrate(system, IntegratorConfig(), [1.0], s_budget=1.0)
+    res = integrate(_decay, IntegratorConfig(), [1.0], s_budget=1.0)
     assert res.dense_s[0] == 0.0
     for s, y in zip(res.dense_s, res.dense_y):
         assert abs(y[0] - math.exp(-s)) < 1e-9
@@ -58,12 +50,7 @@ def test_dense_grid_matches_closed_form():
 def test_uncapped_steps_locate_the_event_on_the_interpolant(budget):
     # y' = -y crosses 1/2 at ln 2; uncapped, about 20 steps span the run, and
     # the event and every grid sample are read off the step's interpolant
-    system = OdeSystem(
-        dim=1,
-        drift=lambda s, y: [-y[0]],
-        event=Event(lambda s, y: y[0] - 0.5, direction=-1),
-    )
-    res = integrate(system, IntegratorConfig(), [1.0], s_budget=budget)
+    res = integrate(_decay, IntegratorConfig(), [1.0], s_budget=budget, stop=_below_half)
     assert res.status == "event" and res.n_steps <= 25
     assert abs(res.y_end[0] - 0.5) < 1e-12
     # the trajectory's own error at rtol 1e-10 moves the crossing by up to
@@ -71,14 +58,15 @@ def test_uncapped_steps_locate_the_event_on_the_interpolant(budget):
     assert abs(res.s_end - math.log(2.0)) < 2e-11
     for s, y in zip(res.dense_s, res.dense_y):
         assert abs(y[0] - math.exp(-s)) < 1e-10
-    fine = integrate(system, IntegratorConfig(rtol=1e-12), [1.0], s_budget=budget)
+    fine = integrate(
+        _decay, IntegratorConfig(rtol=1e-12), [1.0], s_budget=budget, stop=_below_half
+    )
     assert abs(fine.s_end - math.log(2.0)) < 1e-12
 
 
 def test_dense_grid_optional():
     cfg = IntegratorConfig(dense_step=None)
-    system = OdeSystem(dim=1, drift=lambda s, y: [1.0])
-    res = integrate(system, cfg, [0.0], s_budget=1.0)
+    res = integrate(lambda s, y: [1.0], cfg, [0.0], s_budget=1.0)
     assert res.dense_s == []
 
 
@@ -88,11 +76,14 @@ def test_guard_violations_shrink_steps_then_fail():
             raise DomainGuard("no admissible extension")
         return [1.0]
 
-    system = OdeSystem(dim=1, drift=drift)
-    res = integrate(system, IntegratorConfig(), [0.0], s_budget=1.0)
+    res = integrate(drift, IntegratorConfig(), [0.0], s_budget=1.0)
     assert res.status == "failed"
     assert "underflow" in res.message
     assert res.s_end <= 0.5
+
+
+def _rotation(s, y):
+    return [-y[1], y[0]]
 
 
 def _chain(s, y):
@@ -113,9 +104,11 @@ def test_a_guard_at_every_stage_is_counted(j):
             raise DomainGuard("once, at stage k%d" % j)
         return _chain(s, y)
 
-    event = Event(lambda s, y: y[0] - 0.9, direction=-1)
-    res = integrate(OdeSystem(3, drift, event), IntegratorConfig(), [1.0, 0.0, 0.0], 1.0)
-    clean = integrate(OdeSystem(3, _chain, event), IntegratorConfig(), [1.0, 0.0, 0.0], 0.5)
+    def stop(s, y):
+        return 0.9 - y[0]
+
+    res = integrate(drift, IntegratorConfig(), [1.0, 0.0, 0.0], 1.0, stop=stop)
+    clean = integrate(_chain, IntegratorConfig(), [1.0, 0.0, 0.0], 0.5, stop=stop)
     assert res.n_rhs == calls == clean.n_rhs + j - 1
     assert (res.n_rejected, clean.n_rejected) == (1, 0)
     assert res.status == "event"
@@ -127,8 +120,7 @@ def test_a_guard_at_every_stage_is_counted(j):
 def test_step_limit_reported():
     # capped, five steps cannot reach s = 1 (uncapped they can)
     cfg = IntegratorConfig(max_step=1e-2, max_steps=5)
-    system = OdeSystem(dim=1, drift=lambda s, y: [1.0])
-    res = integrate(system, cfg, [0.0], s_budget=1.0)
+    res = integrate(lambda s, y: [1.0], cfg, [0.0], s_budget=1.0)
     assert res.status == "failed"
     assert "step limit" in res.message
 
@@ -137,8 +129,7 @@ def test_step_limit_does_not_rely_on_the_step_cap():
     # uncapped, rtol alone needs far more than five steps to go half round
     # the unit circle
     cfg = IntegratorConfig(max_step=math.inf, max_steps=5)
-    system = OdeSystem(dim=2, drift=lambda s, y: [-y[1], y[0]])
-    res = integrate(system, cfg, [1.0, 0.0], s_budget=math.pi)
+    res = integrate(_rotation, cfg, [1.0, 0.0], s_budget=math.pi)
     assert res.status == "failed"
     assert "step limit" in res.message
     assert res.n_steps + res.n_rejected == 5
@@ -161,21 +152,20 @@ def test_rejected_steps_count_toward_the_step_limit(drift):
     # every trial step is rejected, and the step size would take more than
     # five rejections to underflow
     cfg = IntegratorConfig(max_steps=5)
-    system = OdeSystem(dim=1, drift=drift)
-    res = integrate(system, cfg, [0.0], s_budget=1.0)
+    res = integrate(drift, cfg, [0.0], s_budget=1.0)
     assert res.status == "failed"
     assert "step limit" in res.message
     assert (res.n_steps, res.n_rejected) == (0, 5)
     assert res.n_rhs <= 6 * cfg.max_steps + 1 == 31
-    assert "underflow" in integrate(system, IntegratorConfig(), [0.0], s_budget=1.0).message
+    assert "underflow" in integrate(drift, IntegratorConfig(), [0.0], s_budget=1.0).message
 
 
 def test_rejects_bad_config_and_dimension():
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0).validated()
-    system = OdeSystem(dim=2, drift=lambda s, y: [1.0, 1.0])
-    with pytest.raises(ValueError):
-        integrate(system, IntegratorConfig(), [0.0], s_budget=1.0)
+    # a drift longer than the state fails the trial step's unpacking of its stages
+    with pytest.raises(ValueError, match="unpack"):
+        integrate(lambda s, y: [1.0, 1.0], IntegratorConfig(), [0.0], s_budget=1.0)
 
 
 @pytest.mark.parametrize(
@@ -195,7 +185,6 @@ def test_no_grid_settings_are_accepted():
 
 def test_two_dimensional_oscillator_accuracy():
     # unit circle: y = (cos s, sin s)
-    system = OdeSystem(dim=2, drift=lambda s, y: [-y[1], y[0]])
-    res = integrate(system, IntegratorConfig(), [1.0, 0.0], s_budget=math.pi)
+    res = integrate(_rotation, IntegratorConfig(), [1.0, 0.0], s_budget=math.pi)
     assert abs(res.y_end[0] + 1.0) < 1e-8
     assert abs(res.y_end[1]) < 1e-8

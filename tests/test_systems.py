@@ -273,8 +273,9 @@ def test_emit_tables_links_lower_bounds_to_degree_targets():
     assert len(recs) == 4
     with pytest.raises(ValueError):
         emit_tables("clique", range(1, 2))
-    with pytest.raises(ValueError):
-        emit_tables("min_degree", range(1, 2), [0, 2])
+    for l_range in ([0, 2], []):
+        with pytest.raises(ValueError):
+            emit_tables("min_degree", range(1, 2), l_range)
 
 
 @pytest.mark.parametrize("prop", ["perfect_matching", "hamilton_cycle"])
@@ -383,6 +384,22 @@ def test_solves_are_bit_pinned(rhs_counts):
     assert upper == [solve_ham(2).constant]
 
 
+# emit_tables arguments, then the sha256 prefix of repr of the whole record list
+TABLE_PINS = [
+    (("perfect_matching", range(1, 4)), "8c8d3e143400dfe6"),
+    (("hamilton_cycle", range(1, 4)), "e6d71f0b25b305ad"),
+    (("min_degree", range(1, 4), range(1, 4)), "955956c10cf17d7d"),
+]
+
+
+@pytest.mark.pinned
+@pytest.mark.parametrize("args, pin", TABLE_PINS, ids=[args[0] for args, _ in TABLE_PINS])
+def test_tables_are_bit_pinned(args, pin):
+    # every record, in order: property, k, l, kind and the constant's bits
+    recs = emit_tables(*args)
+    assert hashlib.sha256(repr(recs).encode()).hexdigest()[:16] == pin
+
+
 def test_phase_solutions_count_rhs_evaluations(rhs_counts):
     for solver, args in ((solve_min_degree, (2, 3)), (solve_pm, (1,)), (solve_ham, (1,))):
         rhs_counts.clear()
@@ -399,15 +416,13 @@ def test_every_drift_call_is_counted(monkeypatch):
     calls = 0
     original = systems.integrate
 
-    def counting(system, *args, **kwargs):
-        drift = system.drift
-
+    def counting(drift, *args, **kwargs):
         def counted(s, y):
             nonlocal calls
             calls += 1
             return drift(s, y)
 
-        return original(dataclasses.replace(system, drift=counted), *args, **kwargs)
+        return original(counted, *args, **kwargs)
 
     monkeypatch.setattr(systems, "integrate", counting)
     for solver, args in ((solve_min_degree, (3, 2)), (solve_pm, (2,)), (solve_ham, (2,))):
