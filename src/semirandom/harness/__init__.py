@@ -6,7 +6,6 @@ from .stats import (
     MeanReport,
     chi2_sf,
     chi_square_test,
-    gammainc_upper_reg,
     mean_ci,
     normal_sf,
     paired_one_sided_p,
@@ -39,7 +38,6 @@ __all__ = [
     "MeanReport",
     "chi2_sf",
     "chi_square_test",
-    "gammainc_upper_reg",
     "mean_ci",
     "normal_sf",
     "paired_one_sided_p",

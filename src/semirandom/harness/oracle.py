@@ -23,12 +23,14 @@ circle.  The chain is acyclic apart from self-loops, so the expectation is
 a back-substitution; the law's support is unbounded, so it is cut once the
 live mass falls below 1e-12.
 
-Both laws are walked forward round by round in integer masses over one
-common denominator per round: each state's transition law becomes a row of
-ints once, and a round costs integer products and adds, with one gcd per law
-entry instead of one per transition (see ``_forward_law``).  The laws,
-expectations and tails are the same ``Fraction`` values as a walk in
-``Fraction`` masses would give.
+Each chain's ``step`` gives a state's transition law as one integer row,
+its masses over a denominator L set by the counts: n^k under ``TIE_AVOID``
+and n^k c_m otherwise in the degree chain, n^k u^2 max(r, 1) in the
+matching chain (u unsaturated vertices, r pending edges).  Both laws are
+walked forward round by round in integer masses over one common
+denominator per round, with one gcd per law entry (see ``_forward_law``).
+The laws, expectations and tails are the same ``Fraction`` values as a walk
+in ``Fraction`` masses would give.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ from ..process import LOOP_COUNTS_TWO, TIE_AVOID, TIE_LOWEST, ProcessConfig
 class OracleResult:
     """Exact expectation plus the hitting-time law.
 
-    For the matching target the law is truncated at ``horizon`` (pass
-    rounds make the support unbounded) and the leftover mass is reported in
-    ``tail``; the expectation itself is exact in both cases.
+    For the matching target the law is truncated at 40 n k rounds or once
+    the live mass falls below 1e-12 (pass rounds make the support
+    unbounded), and the leftover mass is reported in ``tail``; the
+    expectation itself is exact in both cases.
     """
 
     target: str
@@ -66,7 +69,6 @@ def exact_small_oracle(
     tie_break: str = TIE_AVOID,
     square_tie_break: str = TIE_LOWEST,
     loop_degree: str = LOOP_COUNTS_TWO,
-    horizon: int | None = None,
 ) -> OracleResult:
     """Exact E[rounds] and hitting-time law for a small instance.
 
@@ -83,50 +85,44 @@ def exact_small_oracle(
     if target == "min_degree":
         return _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree)
     if target == "perfect_matching":
-        return _pm_oracle(n, k, horizon)
+        return _pm_oracle(n, k)
     raise ValueError(
         f"unsupported oracle target {target!r}; the path-builder state space "
         "is not tractable for exact enumeration"
     )
 
 
-def _forward_law(start, step, absorbed, cap, tiny=0):
+def _forward_law(start, step, cap, tiny=0):
     """Law of the absorption round, walked forward in integer masses.
 
-    Stops after ``cap`` rounds or once the live mass is below ``tiny``;
-    returns the law and the live mass left, as ``Fraction``s.  The first time
-    a state is reached its ``step`` law becomes one integer row, kept for
-    later rounds: the lcm L of its denominators, the absorbed mass times L,
-    and each live successor's probability times L.  The masses of a round
-    are ints over one common denominator ``scale``; each round multiplies
-    ``scale`` by d, the lcm of the frontier's L, and a state's mass by d // L
-    before its row spreads it.  So a round costs integer products and adds,
-    and no gcd until the round's law entry ``Fraction(hit, scale)``, which is
-    canonical like the rest.  Every ``step`` law sums to exactly 1, so the
-    live mass is 1 less the absorbed mass: its numerator over ``scale`` is
-    kept exact without summing the frontier, and it is cut against ``tiny``
-    by cross-multiplying.
+    ``step(state)`` is one integer row ``(L, hit, moves)``: the absorbed mass
+    and each live successor's mass, all times L; callers cache it, so a row
+    is built once however many rounds reach its state.  Stops after ``cap``
+    rounds or once the live mass is below ``tiny``; returns the law and the
+    live mass left, as ``Fraction``s.  The masses of a round are ints over
+    one common denominator ``scale``; each round multiplies ``scale`` by d,
+    the lcm of the frontier's L, and a state's mass by d // L before its row
+    spreads it.  So a round costs integer products and adds, and no gcd
+    until the round's law entry ``Fraction(hit, scale)``, which is canonical
+    whatever the rows' L.  Every row sums to exactly L, so the live mass is
+    1 less the absorbed mass: its numerator over ``scale`` is kept exact
+    without summing the frontier, and it is cut against ``tiny`` by
+    cross-multiplying.
     """
-    rows: dict = {}
     frontier = {start: 1}
     law: dict[int, Fraction] = {}
     scale = live = 1
     t = 0
     while frontier and t < cap:
         t += 1
-        work = []
-        for state, mass in frontier.items():
-            row = rows.get(state)
-            if row is None:
-                row = rows[state] = _integer_row(step(state), absorbed)
-            work.append((mass, row))
+        work = [(mass, step(state)) for state, mass in frontier.items()]
         d = math.lcm(*[row[0] for _, row in work])
         nxt: dict = {}
         hit = 0
         for mass, (den, hit_num, moves) in work:
             mass *= d // den
             hit += mass * hit_num
-            for succ, num in moves:
+            for succ, num in moves.items():
                 nxt[succ] = nxt.get(succ, 0) + mass * num
         scale *= d
         live = live * d - hit
@@ -136,21 +132,6 @@ def _forward_law(start, step, absorbed, cap, tiny=0):
         if live * tiny.denominator < tiny.numerator * scale:
             break
     return law, Fraction(live, scale)
-
-
-def _integer_row(law, absorbed):
-    """(L, absorbed mass * L, [(live successor, p * L)]) of one ``step`` law,
-    L the lcm of its denominators."""
-    den = math.lcm(*[p.denominator for p in law.values()])
-    hit_num = 0
-    moves = []
-    for succ, p in law.items():
-        num = p.numerator * (den // p.denominator)
-        if absorbed(succ):
-            hit_num += num
-        else:
-            moves.append((succ, num))
-    return den, hit_num, moves
 
 
 # ---------------------------------------------------------------- min degree
@@ -171,36 +152,41 @@ def _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree):
     ).validate()
     loop_inc = 2 if loop_degree == LOOP_COUNTS_TWO else 1
     avoid = tie_break == TIE_AVOID
+    done = (0,) * l + (n,)
 
-    def step(counts: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
-        law: dict[tuple[int, ...], Fraction] = {}
+    @functools.cache
+    def step(counts: tuple[int, ...]):
+        # over L = n^k * split: the circle hits a square of the minimum
+        # class m with probability own / split
+        m = next(j for j, c in enumerate(counts) if c)
+        split = 1 if avoid else counts[m]
+        own = int(counts[m] == 1) if avoid else 1
+        moves: dict[tuple[int, ...], int] = {}
 
-        def put(p, *moves):
-            if p:
+        def put(w, *changes):
+            if w:
                 nc = list(counts)
-                for j, inc in moves:
+                for j, inc in changes:
                     nc[j] -= 1
                     nc[min(l, j + inc)] += 1
                 nc = tuple(nc)
-                law[nc] = law.get(nc, 0) + p
+                moves[nc] = moves.get(nc, 0) + w
 
-        m = next(j for j, c in enumerate(counts) if c)
         at_least = n  # A_j
         for j in range(m, l + 1):
             c = counts[j]
             if not c:
                 continue
-            square = Fraction(at_least**k - (at_least - c) ** k, n**k)
+            square = at_least**k - (at_least - c) ** k
             at_least -= c
             if j > m:
-                put(square, (j, 1), (m, 1))
+                put(square * split, (j, 1), (m, 1))
             else:
-                hit = Fraction(c == 1) if avoid else Fraction(1, c)
-                put(square * hit, (m, loop_inc))
-                put(square * (1 - hit), (m, 1), (m, 1))
-        return law
+                put(square * own, (m, loop_inc))
+                put(square * (split - own), (m, 1), (m, 1))
+        return n**k * split, moves.pop(done, 0), moves
 
-    law, tail = _forward_law((n,) + (0,) * l, step, lambda c: c[l] == n, n * l)
+    law, tail = _forward_law((n,) + (0,) * l, step, n * l)
     if tail:
         raise AssertionError("minimum-degree oracle failed to absorb in time")
     expectation = sum((Fraction(t) * p for t, p in law.items()), Fraction(0))
@@ -210,23 +196,23 @@ def _min_degree_oracle(n, k, l, tie_break, square_tie_break, loop_degree):
 # ----------------------------------------------------------- perfect matching
 
 
-def _pm_transitions(n: int, k: int, state):
-    """Map successor state -> probability, exact in Fractions."""
+def _pm_row(n: int, k: int, state):
+    """The matching chain's integer row at ``state``, over L = n^k u^2 max(r, 1)."""
     u, counts = state
     x = n - u
     r = sum(counts)
-    fx = Fraction(x, n)
-    fxr = Fraction(x - r, n)
-    fr = Fraction(r, n)
-    pa = 1 - fx**k
-    pb = fx**k - fxr**k
-    pc = fxr**k - fr**k
-    pd = fr**k
-    out: dict[tuple, Fraction] = {}
+    per = max(r, 1)
+    # the square's cases, times n^k; each successor's weight below is its
+    # probability times L
+    pa = n**k - x**k
+    pb = x**k - (x - r) ** k
+    pc = (x - r) ** k - r**k
+    pd = r**k
+    moves: dict[tuple, int] = {}
 
-    def put(st, p):
-        if p:
-            out[st] = out.get(st, Fraction(0)) + p
+    def put(st, w):
+        if w:
+            moves[st] = moves.get(st, 0) + w
 
     mult: dict[int, int] = {}
     for c in counts:
@@ -238,62 +224,47 @@ def _pm_transitions(n: int, k: int, state):
         lst.remove(cj)
         return (u - 2, tuple(lst))
 
-    if pa:
-        put(state, pa * Fraction(1, u))  # circle hits the selected square
-        for cu, mu in mult.items():
-            p_u = Fraction(mu, u)
-            for cv, mv in mult.items():
-                m = mv - 1 if cv == cu else mv
-                if m <= 0:
-                    continue
-                put(removed_two(cu, cv), pa * p_u * Fraction(m, u))
-    if pb and r:
-        put(state, pb * Fraction(1, u))  # circle hits the pending endpoint
-        for cy, my in mult.items():
-            if cy == 0:
-                continue
-            p_y = Fraction(cy * my, r)  # the selected pending edge picks y
-            for cv, mv in mult.items():
-                m = mv - 1 if cv == cy else mv
-                if m <= 0:
-                    continue
-                put(removed_two(cy, cv), pb * p_y * Fraction(m, u))
-    if pc:
+    put(state, pa * u * per)  # circle hits the selected square
+    for cu, mu in mult.items():
         for cv, mv in mult.items():
-            lst = list(counts)
-            lst.remove(cv)
-            lst.append(cv + 1)
-            lst.sort()
-            put((u, tuple(lst)), pc * Fraction(mv, u))
-    if pd:
-        put(state, pd)
-    return out
+            m = mv - 1 if cv == cu else mv
+            if m > 0:
+                put(removed_two(cu, cv), pa * per * mu * m)
+    put(state, pb * u * per)  # circle hits the pending endpoint
+    for cy, my in mult.items():
+        if cy == 0:
+            continue
+        # the selected pending edge picks y with probability cy * my / r
+        for cv, mv in mult.items():
+            m = mv - 1 if cv == cy else mv
+            if m > 0:
+                put(removed_two(cy, cv), pb * cy * my * m * u)
+    for cv, mv in mult.items():
+        lst = list(counts)
+        lst.remove(cv)
+        lst.append(cv + 1)
+        lst.sort()
+        put((u, tuple(lst)), pc * mv * u * per)
+    put(state, pd * u * u * per)
+    return n**k * u * u * per, moves.pop((0, ()), 0), moves
 
 
-def _pm_oracle(n, k, horizon):
+def _pm_oracle(n, k):
     if n > 8:
         raise ValueError("matching oracle supports n <= 8 only")
     if n % 2:
         raise ValueError("perfect matching needs an even vertex count")
-    trans = functools.cache(lambda st: _pm_transitions(n, k, st))
+    row = functools.cache(lambda st: _pm_row(n, k, st))
 
     @functools.cache
     def expected(st) -> Fraction:
-        # E(s) = (1 + sum_{s' != s} P(s -> s') E(s')) / (1 - P(s -> s));
-        # every other successor has fewer unsaturated vertices or more
-        # pending edges, so the recursion ends
-        if st[0] == 0:
-            return Fraction(0)
-        stay = Fraction(0)
-        acc = Fraction(1)
-        for ns, p in trans(st).items():
-            if ns == st:
-                stay = p
-            else:
-                acc += p * expected(ns)
-        return acc / (1 - stay)
+        # E(s) = (L + sum_{s' != s} w(s') E(s')) / (L - w(s)) on the row of
+        # s; every other live successor has fewer unsaturated vertices or
+        # more pending edges, so the recursion ends
+        den, _, moves = row(st)
+        acc = Fraction(den) + sum(w * expected(ns) for ns, w in moves.items() if ns != st)
+        return acc / (den - moves.get(st, 0))
 
     start = (n, (0,) * n)
-    cap = horizon if horizon is not None else 40 * n * max(1, k)
-    law, tail = _forward_law(start, trans, lambda st: st[0] == 0, cap, Fraction(1, 10**12))
+    law, tail = _forward_law(start, row, 40 * n * k, Fraction(1, 10**12))
     return OracleResult("perfect_matching", n, k, expected(start), law, tail)

@@ -133,6 +133,8 @@ def integrate(
     cfg.validated()
     y = [float(v) for v in initial]
     dim = len(y)
+    if not dim:
+        raise ValueError("the initial state must have at least one coordinate")
     s = s0
     step = _trial_step(dim)
     # without a stop function the value is 0 and never fires

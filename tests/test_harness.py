@@ -32,6 +32,38 @@ def test_chi2_sf_reference_points():
     assert chi2_sf(1000.0, 2) < 1e-200
 
 
+# chi2_sf(x, df) at x in (1e-9, df/2, df, 2 df, 5 df + 20, 1000), recorded
+# from the series and continued-fraction solver it replaced
+CHI2_REFERENCE = {
+    1: (0.999974768674784, 0.4795001221869536, 0.3173105078629145,
+        0.15729920705028555, 5.733031437583874e-07, 1.795832784800736e-219),
+    2: (0.9999999995, 0.6065306597126334, 0.36787944117144333,
+        0.1353352832366127, 3.0590232050182594e-07, 7.124576406741474e-218),
+    3: (0.9999999999999916, 0.6822703303362125, 0.39162517627109006,
+        0.11161022509471474, 1.2182496976163338e-07, 1.7994208765314063e-216),
+    4: (1.0, 0.7357588823428848, 0.4060058497098389,
+        0.0915781944436709, 4.328422607120966e-08, 3.569412779777368e-215),
+    7: (1.0, 0.8352254826103422, 0.4288798575530548,
+        0.05118135341306576, 1.4909069484204916e-09, 1.204426773519007e-211),
+    10: (1.0, 0.8911780189141513, 0.4404932850652129,
+         0.029252688076961145, 4.433781749923207e-11, 1.8702907209159774e-208),
+    30: (1.0, 0.9897395720876574, 0.4656537089440167,
+         0.0009206823961486632, 1.7116706777077664e-21, 5.1314353215725616e-191),
+    59: (1.0, 0.9995356245518807, 0.4755119972953279,
+         8.076425555912607e-06, 1.2405331496845632e-36, 3.849187801041878e-171),
+}
+
+
+@pytest.mark.parametrize("df", sorted(CHI2_REFERENCE))
+def test_chi2_sf_matches_reference_grid(df):
+    xs = (1e-9, df / 2, df, 2 * df, 5 * df + 20, 1000.0)
+    for x, want in zip(xs, CHI2_REFERENCE[df], strict=True):
+        assert abs(chi2_sf(x, df) - want) <= 1e-12 * want, (x, df)
+        if df <= 2:  # the tails in closed form
+            closed = math.erfc(math.sqrt(x / 2)) if df == 1 else math.exp(-x / 2)
+            assert abs(chi2_sf(x, df) - closed) <= 1e-13 * closed, (x, df)
+
+
 def test_normal_sf_reference_points():
     assert abs(normal_sf(1.959963984540054) - 0.025) < 1e-12
     assert abs(normal_sf(0.0) - 0.5) < 1e-15

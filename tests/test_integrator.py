@@ -166,6 +166,9 @@ def test_rejects_bad_config_and_dimension():
     # a drift longer than the state fails the trial step's unpacking of its stages
     with pytest.raises(ValueError, match="unpack"):
         integrate(lambda s, y: [1.0, 1.0], IntegratorConfig(), [0.0], s_budget=1.0)
+    # an empty state is refused before the first drift call
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        integrate(lambda s, y: 1 / 0, IntegratorConfig(), [], s_budget=1.0)
 
 
 @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ def test_matching_law_sums_to_one():
 
 def test_every_visited_law_sums_to_one(monkeypatch):
     # the forward walk keeps the live mass as 1 minus the absorbed mass,
-    # which is exact only when every transition law sums to exactly 1
+    # which is exact only when every integer row sums to exactly its L
     import semirandom.harness.oracle as oracle_module
 
     original = oracle_module._forward_law
@@ -89,10 +89,10 @@ def test_every_visited_law_sums_to_one(monkeypatch):
     def checked_walk(start, step, *args, **kwargs):
         def checked_step(state):
             nonlocal visited
-            law = step(state)
-            assert sum(law.values()) == 1, state
+            den, hit, moves = row = step(state)
+            assert hit + sum(moves.values()) == den, state
             visited += 1
-            return law
+            return row
 
         return original(start, checked_step, *args, **kwargs)
 
@@ -137,26 +137,32 @@ MIXED = {
     "b": {"b": Fraction(1, 3), "c": Fraction(1, 3), "X": Fraction(1, 3)},
     "c": {"a": Fraction(1, 6), "c": Fraction(1, 2), "X": Fraction(1, 3)},
 }
+# the same laws as integer rows (L, absorbed mass * L, {live successor: mass * L})
+MIXED_ROWS = {
+    "a": (2, 0, {"a": 1, "b": 1}),
+    "b": (3, 1, {"b": 1, "c": 1}),
+    "c": (6, 2, {"a": 1, "c": 3}),
+}
 
 
 @pytest.mark.parametrize("cap", [1, 2, 5, 40])
 def test_forward_law_scales_mixed_denominators_exactly(cap):
-    done = "X".__eq__
-    law, tail = _forward_law("a", MIXED.__getitem__, done, cap)
-    want_law, want_tail = fraction_walk("a", MIXED.__getitem__, done, cap)
+    law, tail = _forward_law("a", MIXED_ROWS.__getitem__, cap)
+    want_law, want_tail = fraction_walk("a", MIXED.__getitem__, "X".__eq__, cap)
     assert repr((law, tail)) == repr((want_law, want_tail))
     assert tail == 1 - sum(law.values()) > 0
 
 
 def test_forward_law_cuts_below_tiny_only():
     halving = {0: {0: Fraction(1, 2), 1: Fraction(1, 2)}}.__getitem__
+    halving_row = {0: (2, 1, {0: 1})}.__getitem__
     done = (1).__eq__
     # the live mass is exactly 1/8 after round 3, which is not below 1/8
-    law, tail = _forward_law(0, halving, done, 100, Fraction(1, 8))
+    law, tail = _forward_law(0, halving_row, 100, Fraction(1, 8))
     assert law == {1: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 8), 4: Fraction(1, 16)}
     assert tail == Fraction(1, 16)
     assert (law, tail) == fraction_walk(0, halving, done, 100, Fraction(1, 8))
-    law, tail = _forward_law(0, halving, done, 2, Fraction(1, 8))
+    law, tail = _forward_law(0, halving_row, 2, Fraction(1, 8))
     assert law == {1: Fraction(1, 2), 2: Fraction(1, 4)}
     assert tail == Fraction(1, 4)
 
@@ -371,6 +377,24 @@ def test_matching_laws_are_pinned():
         res = exact_small_oracle(n, k, "perfect_matching")
         law = repr((sorted(res.distribution.items()), res.expectation, res.tail))
         assert hashlib.sha256(law.encode()).hexdigest()[:16] == pin, (n, k)
+
+
+# the same hash for larger laws under the default policies, where each
+# round's common denominator grows furthest
+LARGE_LAW_PINS = {
+    (40, 1, 3): "be0e77c14f96f9fe",
+    (30, 1, 4): "465fd2e7486d4ce4",
+    (20, 2, 2): "7ce33db7c0d3ec0c",
+    (12, 3, 3): "a6e4df930dc90ac5",
+}
+
+
+@pytest.mark.pinned
+def test_large_degree_laws_are_pinned():
+    for (n, k, l), pin in LARGE_LAW_PINS.items():
+        res = exact_small_oracle(n, k, "min_degree", l)
+        law = repr((sorted(res.distribution.items()), res.expectation))
+        assert hashlib.sha256(law.encode()).hexdigest()[:16] == pin, (n, k, l)
 
 
 LAW_TRIALS = 5000
